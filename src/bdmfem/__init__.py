@@ -4,7 +4,8 @@ Solves -div(alpha grad u) = f on unstructured triangular meshes with
 mixed Dirichlet/Neumann boundary conditions, approximating the flux
 sigma = -alpha grad u with linear edge-based H(div) elements (two
 unknowns per edge) and u with elementwise constants.  A lowest-order
-constant-trace flux family ("rt0") is available as an alternative.
+constant-trace flux family ("rt0"), bdm1 with the two unknowns of each
+edge tied into one, is available as an alternative.
 """
 
 from .assembly import (assemble_divergence, assemble_mass, assemble_system,

@@ -17,14 +17,15 @@ edge slots i and j of one element,
 with c = alpha^-1 / (48 |K|) and d the Kronecker delta, because
 int_K lambda_p lambda_q = (1 + d(p,q)) |K| / 12.  Contributions are
 accumulated as coordinate triplets (duplicates summed) and compressed
-to CSR.
+to CSR; for rt0, whose two functions per edge share one column, that
+summation is the restriction to the tied unknowns.
 """
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .basis import flux_dof_count, resolve_orientation
+from .basis import flux_columns, flux_dof_count, resolve_orientation
 
 __all__ = [
     "assemble_mass",
@@ -51,31 +52,20 @@ def assemble_mass(topo, coeffs, inv_alpha, family="bdm1"):
     o = resolve_orientation(topo, coeffs)
     ne = topo.num_edges
     scale = np.asarray(inv_alpha, dtype=float) / (48 * coeffs.area)
+    col1, col2 = flux_columns(family, topo.elem_to_edge, ne)
 
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
-            ii = topo.elem_to_edge[:, i]
-            jj = topo.elem_to_edge[:, j]
             e = scale * (1 + (o.i1[:, i] == o.i1[:, j])) * (
                 o.a2[:, i] * o.a2[:, j] + o.b2[:, i] * o.b2[:, j])
             h = -scale * (1 + (o.i1[:, i] == o.i2[:, j])) * (
                 o.a2[:, i] * o.a1[:, j] + o.b2[:, i] * o.b1[:, j])
             g = scale * (1 + (o.i2[:, i] == o.i2[:, j])) * (
                 o.a1[:, i] * o.a1[:, j] + o.b1[:, i] * o.b1[:, j])
-            if family == "bdm1":
-                rows += [ii, ii, jj + ne, ii + ne]
-                cols += [jj, jj + ne, ii, jj + ne]
-                vals += [e, h, h, g]
-            elif family == "rt0":
-                # (phi_i2, phi_j1) pairing, the transpose-role twin of h
-                ht = -scale * (1 + (o.i2[:, i] == o.i1[:, j])) * (
-                    o.a1[:, i] * o.a2[:, j] + o.b1[:, i] * o.b2[:, j])
-                rows.append(ii)
-                cols.append(jj)
-                vals.append((e + g) + (h + ht))
-            else:
-                raise ValueError("unknown element family {!r}".format(family))
+            rows += [col1[:, i], col1[:, i], col2[:, j], col2[:, i]]
+            cols += [col1[:, j], col2[:, j], col1[:, i], col2[:, j]]
+            vals += [e, h, h, g]
 
     n = flux_dof_count(family, ne)
     mat = sp.coo_matrix(
@@ -90,20 +80,14 @@ def assemble_divergence(topo, family="bdm1"):
     Row l holds -(div phi_m, 1)_{K_l} for the flux functions phi_m.
     The element area cancels against the constant divergence, leaving
     -s/2 at the columns of both functions of each edge of element l
-    for "bdm1", and -s at each edge's single column for "rt0".
+    (summing to -s at the single column of an rt0 edge).
     """
     nt, ne = topo.elem_to_edge.shape[0], topo.num_edges
     elem = np.repeat(np.arange(nt), 3)
-    edge = topo.elem_to_edge.ravel()
     sign = topo.sign_edge.ravel().astype(float)
-    if family == "bdm1":
-        rows = np.concatenate([elem, elem])
-        cols = np.concatenate([edge, edge + ne])
-        vals = np.concatenate([-sign / 2, -sign / 2])
-    elif family == "rt0":
-        rows, cols, vals = elem, edge, -sign
-    else:
-        raise ValueError("unknown element family {!r}".format(family))
+    rows = np.concatenate([elem, elem])
+    cols = np.concatenate(flux_columns(family, topo.elem_to_edge.ravel(), ne))
+    vals = np.concatenate([-sign / 2, -sign / 2])
     n = flux_dof_count(family, ne)
     return sp.coo_matrix((vals, (rows, cols)), shape=(nt, n)).tocsr()
 

@@ -21,10 +21,13 @@ orientation) carries
 
 The same functions restricted to both elements sharing E have matching
 normal traces, so coefficient vectors indexed by global edges describe
-H(div)-conforming fields.  The hierarchical pair ("hierarchical",
-evaluation only — assembly always uses one of the families above) keeps
-phi_1 + phi_2 as its first function and adds the trace-free complement
-lambda_s rot(lambda_t) + lambda_t rot(lambda_s) as its second.
+H(div)-conforming fields.
+
+Assembly, boundary terms and flux evaluation only know the bdm1 pair:
+rt0 ties both functions of an edge to one unknown (:func:`flux_columns`),
+and duplicate summation yields P^T B P, C P and P^T b1 for P = [I; I].
+The rt0 branch of :func:`eval_basis` and :func:`divergence` is kept as
+an independent reference for tests.
 """
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "resolve_orientation",
     "flux_dof_count",
     "functions_per_edge",
+    "flux_columns",
     "eval_basis",
     "normal_trace",
     "divergence",
@@ -53,6 +57,12 @@ def functions_per_edge(family):
     if family == "rt0":
         return 1
     raise ValueError("unknown element family {!r}".format(family))
+
+
+def flux_columns(family, edges, num_edges):
+    """Flux-vector columns of the two bdm1 functions of `edges`: j and
+    NE + j for "bdm1", j for both in "rt0"."""
+    return edges, edges + (functions_per_edge(family) - 1) * num_edges
 
 
 def flux_dof_count(family, num_edges):
@@ -120,13 +130,13 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
         Element index and local edge index (0..2).
     w : (3,) array
         Barycentric coordinates of the evaluation point.
-    family : {"bdm1", "rt0", "hierarchical"}
+    family : {"bdm1", "rt0"}
 
     Returns
     -------
     (k, 2) float array
         Cartesian values of the k basis functions of the slot
-        (k = 2 for "bdm1" and "hierarchical", 1 for "rt0").
+        (k = 2 for "bdm1", 1 for "rt0").
     """
     w = _check_barycentric(w)
     i1 = oriented.i1[element, slot]
@@ -140,9 +150,6 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
         return np.array([w[i1] * rot2, -w[i2] * rot1])
     if family == "rt0":
         return np.array([w[i1] * rot2 - w[i2] * rot1])
-    if family == "hierarchical":
-        return np.array([w[i1] * rot2 - w[i2] * rot1,
-                         w[i1] * rot2 + w[i2] * rot1])
     raise ValueError("unknown element family {!r}".format(family))
 
 

@@ -16,10 +16,14 @@ against the moments I_s = int_E g_N lambda_s and I_t = int_E g_N
 lambda_t gives the projection coefficients d_s = (4 I_s - 2 I_t) / L
 and d_t = (4 I_t - 2 I_s) / L, hence the lifted basis coefficients
 s (4 I_s - 2 I_t) and s (4 I_t - 2 I_s) with s the owning element's
-orientation sign (the 1/L of the normal trace cancels L).
+orientation sign (the 1/L of the normal trace cancels L).  An rt0
+unknown, tied to both, takes their mean s (I_s + I_t) = s int_E g_N,
+the projection onto constants.
 """
 
 import numpy as np
+
+from .basis import flux_columns, flux_dof_count, functions_per_edge
 
 __all__ = [
     "LiftedSystem",
@@ -79,9 +83,9 @@ def dirichlet_term(mesh, boundary, g_dirichlet, num_edges, family="bdm1"):
         b1[j]      -= s (g(p1) (1/4 + 1/(4 sqrt 3)) + g(p2) (1/4 - 1/(4 sqrt 3)))
         b1[NE + j] -= s (g(p1) (1/4 - 1/(4 sqrt 3)) + g(p2) (1/4 + 1/(4 sqrt 3)))
 
-    (for "rt0" the single entry gets the sum of the two weights).
+    (for "rt0" both land in row j and add up).
     """
-    b1 = np.zeros(num_edges * (2 if family == "bdm1" else 1))
+    b1 = np.zeros(flux_dof_count(family, num_edges))
     if boundary.num_dirichlet == 0:
         return b1
     p1, p2 = _gauss_points(mesh.nodes, boundary.dirichlet)
@@ -90,14 +94,9 @@ def dirichlet_term(mesh, boundary, g_dirichlet, num_edges, family="bdm1"):
     s = boundary.sign_dirichlet
     wp = 0.25 + 0.25 / _SQRT3
     wm = 0.25 - 0.25 / _SQRT3
-    ind = boundary.ind_dirichlet
-    if family == "bdm1":
-        np.add.at(b1, ind, -s * (g1 * wp + g2 * wm))
-        np.add.at(b1, num_edges + ind, -s * (g1 * wm + g2 * wp))
-    elif family == "rt0":
-        np.add.at(b1, ind, -s * (g1 + g2) / 2)
-    else:
-        raise ValueError("unknown element family {!r}".format(family))
+    col1, col2 = flux_columns(family, boundary.ind_dirichlet, num_edges)
+    np.add.at(b1, col1, -s * (g1 * wp + g2 * wm))
+    np.add.at(b1, col2, -s * (g1 * wm + g2 * wp))
     return b1
 
 
@@ -110,9 +109,9 @@ def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
     Neumann flux unknowns.
     """
     ndof = system.shape[0]
-    num_edges = len(b1) // (2 if family == "bdm1" else 1)
+    num_edges = len(b1) // functions_per_edge(family)
     sol = np.zeros(ndof)
-    fixed = np.zeros(ndof, dtype=bool)
+    count = np.zeros(ndof, dtype=np.int64)
 
     if boundary.num_neumann:
         if g_neumann is None:
@@ -129,18 +128,15 @@ def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
         moment_s = length * (g1 * (1 + 1 / _SQRT3) + g2 * (1 - 1 / _SQRT3)) / 4
         moment_t = length * (g1 * (1 - 1 / _SQRT3) + g2 * (1 + 1 / _SQRT3)) / 4
         s = boundary.sign_neumann
-        ind = boundary.ind_neumann
-        if family == "bdm1":
-            sol[ind] = s * (4 * moment_s - 2 * moment_t)
-            sol[num_edges + ind] = s * (4 * moment_t - 2 * moment_s)
-            fixed[ind] = True
-            fixed[num_edges + ind] = True
-        elif family == "rt0":
-            sol[ind] = s * (moment_s + moment_t)
-            fixed[ind] = True
-        else:
-            raise ValueError("unknown element family {!r}".format(family))
+        cols = np.concatenate(
+            flux_columns(family, boundary.ind_neumann, num_edges))
+        vals = np.concatenate([s * (4 * moment_s - 2 * moment_t),
+                               s * (4 * moment_t - 2 * moment_s)])
+        # a tied rt0 unknown takes the mean of its two coefficients
+        count = np.bincount(cols, minlength=ndof)
+        np.add.at(sol, cols, vals / count[cols])
 
+    fixed = count > 0
     rhs = np.concatenate([b1, b2])
     if fixed.any():
         rhs = rhs - system @ sol

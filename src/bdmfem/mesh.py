@@ -163,13 +163,24 @@ def signed_areas(mesh):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _local_edge_pairs(mesh):
-    """All element edges as ascending vertex pairs, shape (NT, 3, 2)."""
+def _edge_keys(lo, hi, base):
+    """Key lo * base + hi of ascending vertex pairs; with `base` above
+    every index, keys sort like the pairs and decode by divmod."""
+    return lo * base + hi
+
+
+def _number_edges(mesh):
+    """Unique edges as ascending vertex pairs in lexicographic order,
+    each local edge's index into them, shape (NT, 3), and the number of
+    local edges per edge."""
     start = mesh.elements[:, LOCAL_EDGES[:, 0]]
     end = mesh.elements[:, LOCAL_EDGES[:, 1]]
-    lo = np.minimum(start, end)
-    hi = np.maximum(start, end)
-    return np.stack([lo, hi], axis=-1)
+    base = 1 + int(mesh.elements.max(initial=0))
+    keys = _edge_keys(np.minimum(start, end), np.maximum(start, end), base)
+    keys, inverse, counts = np.unique(
+        keys.ravel(), return_inverse=True, return_counts=True)
+    edges = np.column_stack(np.divmod(keys, base))
+    return edges, inverse.reshape(mesh.elements.shape), counts
 
 
 def validate_mesh(mesh):
@@ -208,10 +219,8 @@ def validate_mesh(mesh):
             "element {}, edge {}: marker {} not in {{0, 1, 2}}".format(
                 t, i, markers[t, i]))
 
-    pairs = _local_edge_pairs(mesh).reshape(-1, 2)
-    uniq, inverse, counts = np.unique(
-        pairs, axis=0, return_inverse=True, return_counts=True)
-    adjacency = counts[inverse].reshape(markers.shape)
+    edges, inverse, counts = _number_edges(mesh)
+    adjacency = counts[inverse]
     for t, i in zip(*np.nonzero((markers != INTERIOR) & (adjacency != 1))):
         violations.append(
             "element {}, edge {}: marker {} on interior edge ({}, {})".format(
@@ -223,7 +232,7 @@ def validate_mesh(mesh):
     for e in np.flatnonzero(counts > 2):
         violations.append(
             "edge ({}, {}): shared by {} elements".format(
-                uniq[e, 0], uniq[e, 1], counts[e]))
+                edges[e, 0], edges[e, 1], counts[e]))
 
     return violations
 
@@ -241,16 +250,14 @@ def build_edge_topology(mesh):
     MeshTopologyError
         If an edge is shared by more than two elements.
     """
-    pairs = _local_edge_pairs(mesh)
-    edges, inverse, counts = np.unique(
-        pairs.reshape(-1, 2), axis=0, return_inverse=True, return_counts=True)
+    edges, inverse, counts = _number_edges(mesh)
     bad = np.flatnonzero(counts > 2)
     if bad.size:
         e = bad[0]
         raise MeshTopologyError(
             "edge ({}, {}) is shared by {} elements".format(
                 edges[e, 0], edges[e, 1], counts[e]))
-    elem_to_edge = inverse.reshape(mesh.num_elements, 3).astype(np.int64)
+    elem_to_edge = inverse.astype(np.int64)
 
     start = mesh.elements[:, LOCAL_EDGES[:, 0]]
     end = mesh.elements[:, LOCAL_EDGES[:, 1]]
@@ -259,11 +266,17 @@ def build_edge_topology(mesh):
 
 
 def _locate_edges(topo, rows):
-    """Global indices of ascending vertex pairs in topo.edges."""
-    n = int(topo.edges[:, 1].max()) + 1 if topo.num_edges else 1
-    keys = topo.edges[:, 0] * n + topo.edges[:, 1]
-    wanted = rows[:, 0] * n + rows[:, 1]
+    """Global indices of ascending vertex pairs in topo.edges; a pair
+    missing there raises :class:`MeshTopologyError`."""
+    base = 1 + max(topo.edges.max(initial=0), rows.max(initial=0))
+    keys = _edge_keys(topo.edges[:, 0], topo.edges[:, 1], base)
+    wanted = _edge_keys(rows[:, 0], rows[:, 1], base)
     ind = np.searchsorted(keys, wanted)
+    missing = np.flatnonzero(keys.take(ind, mode="clip") != wanted)
+    if missing.size:
+        raise MeshTopologyError(
+            "boundary edge ({}, {}) is not in the edge topology; was it "
+            "built for another mesh?".format(*rows[missing[0]]))
     return ind
 
 

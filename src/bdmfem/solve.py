@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_divergence, assemble_mass, assemble_system
-from .basis import flux_dof_count
+from .basis import flux_dof_count, functions_per_edge
 from .bc import dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients
 from .mesh import MeshError, build_edge_topology, classify_boundary, validate_mesh
@@ -196,4 +196,4 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
 
 def functions_fixed(boundary, family="bdm1"):
     """Number of flux unknowns pinned by the Neumann lift."""
-    return boundary.num_neumann * (2 if family == "bdm1" else 1)
+    return boundary.num_neumann * functions_per_edge(family)

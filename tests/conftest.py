@@ -1,11 +1,20 @@
 """Shared fixtures: the 16-element reference mesh with its hand-checked
 topology tables, and random-mesh generators for property tests."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
 import bdmfem as bf
+
+# `python -m bdmfem.cli` subprocesses import the package from this
+# checkout as well, as pytest's own `pythonpath` setting does in-process
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 # Independently tabulated topology of the 16-element reference mesh
 # (1-based vertex and edge numbering, as printed by `inspect --dump`).

@@ -76,15 +76,6 @@ class TestPointValues:
             one = bf.eval_basis(paper_oriented, t, i, w, family="rt0")
             assert np.allclose(one[0], pair[0] + pair[1], atol=1e-14)
 
-    def test_hierarchical_pair(self, paper_oriented):
-        w = [0.2, 0.3, 0.5]
-        pair = bf.eval_basis(paper_oriented, 3, 1, w, family="bdm1")
-        hier = bf.eval_basis(paper_oriented, 3, 1, w, family="hierarchical")
-        one = bf.eval_basis(paper_oriented, 3, 1, w, family="rt0")
-        assert np.allclose(hier[0], one[0], atol=1e-15)
-        assert np.allclose(hier[1], pair[0] - pair[1], atol=1e-15)
-        assert not np.allclose(hier[1], one[0])
-
     def test_rt0_closed_form(self):
         # on each element the single function of slot i equals
         # s (x - z_i) / (2|K|), z_i the vertex opposite the edge
@@ -155,16 +146,6 @@ class TestNormalTraces:
                 tra = bf.normal_trace(mesh, oriented, ta, ia, ia, s)
                 trb = bf.normal_trace(mesh, oriented, tb, ib, ib, s)
                 assert np.allclose(tra, trb, atol=1e-12)
-
-    def test_mean_free_complement(self, paper_mesh, paper_oriented):
-        # second hierarchical function: normal trace has zero average
-        # but is not identically zero
-        g = (0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3))
-        for t, i in ((0, 0), (2, 1), (7, 2)):
-            tr = [bf.normal_trace(paper_mesh, paper_oriented, t, i, i, s,
-                                  family="hierarchical")[1] for s in g]
-            assert abs(tr[0] + tr[1]) < 1e-13
-            assert abs(tr[0]) > 0.1
 
     def test_parameter_validated(self, paper_mesh, paper_oriented):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

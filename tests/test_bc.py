@@ -187,16 +187,25 @@ class TestNeumannLift:
         assert np.abs(lifted.sol[mask]).max() == 0.0
 
     def test_rt0_constant_flux(self):
+        # the tied unknown must carry s int_E g_N, the mean of the two
+        # bdm1 coefficients; only non-constant data tells that apart
+        # from keeping either one of them
         mesh, topo, coeffs, boundary, system = paper_setup("rt0")
-        c = -1.25
-        lifted = bf.neumann_lift(mesh, boundary,
-                                 lambda p: np.full(len(p), c), system,
-                                 np.zeros(28), np.zeros(16), family="rt0")
-        assert len(lifted.sol) == 44
-        for k, e in enumerate(boundary.ind_neumann):
-            s = boundary.sign_neumann[k]
-            assert np.isclose(lifted.sol[e], s * c, rtol=1e-14)
-        assert len(lifted.free_dofs) == 44 - 2
+        for g, integral in ((lambda p: np.full(len(p), -1.25),
+                             lambda a, b: -1.25 * abs(b[0] - a[0])),
+                            (lambda p: 2 * p[:, 0] - 0.5,
+                             lambda a, b: (a[0] + b[0] - 0.5)
+                             * abs(b[0] - a[0]))):
+            lifted = bf.neumann_lift(mesh, boundary, g, system,
+                                     np.zeros(28), np.zeros(16),
+                                     family="rt0")
+            assert len(lifted.sol) == 44
+            for k, e in enumerate(boundary.ind_neumann):
+                s = boundary.sign_neumann[k]
+                a, b = mesh.nodes[boundary.neumann[k]]
+                assert np.isclose(lifted.sol[e], s * integral(a, b),
+                                  rtol=1e-14, atol=0)
+            assert len(lifted.free_dofs) == 44 - 2
 
     def test_missing_data_raises(self):
         mesh, topo, coeffs, boundary, system = paper_setup()

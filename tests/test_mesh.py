@@ -158,6 +158,25 @@ class TestBoundary:
         keys = d[:, 0] * mesh.num_nodes + d[:, 1]
         assert (np.diff(keys) > 0).all()
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_stale_topology_rejected(self, paper_mesh, seed):
+        # relabelled vertices, elements kept in order: the topology of
+        # the original still fits by shape but names other vertex pairs;
+        # searched blindly, seed 3 maps two Neumann edges onto one global
+        # edge and seed 1 maps them onto wrong ones
+        fine = bf.uniform_refine(paper_mesh)
+        new = np.random.default_rng(seed).permutation(fine.num_nodes)
+        nodes = np.empty_like(fine.nodes)
+        nodes[new] = fine.nodes
+        permuted = bf.Mesh(nodes, new[fine.elements], fine.boundary_markers)
+        stale = bf.build_edge_topology(fine)
+        with pytest.raises(bf.MeshTopologyError,
+                           match=r"edge \(\d+, \d+\) is not in the edge"):
+            bf.classify_boundary(permuted, stale)
+        with pytest.raises(bf.MeshTopologyError):
+            bf.solve_problem(permuted, bf.get_problem("paper-example"),
+                             topo=stale)
+
 
 class TestRefinement:
 
