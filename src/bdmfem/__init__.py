@@ -13,8 +13,9 @@ from .assembly import (assemble_divergence, assemble_mass, assemble_system,
 from .basis import (FAMILIES, OrientedEdgeBasis, divergence, eval_basis,
                     flux_dof_count, functions_per_edge, normal_trace,
                     resolve_orientation)
-from .bc import (LiftedSystem, dirichlet_term, edge_moment_matrix,
-                 neumann_lift, source_term)
+from .bc import (EDGE_GAUSS2_POSITIONS, EDGE_GAUSS2_WEIGHTS, LiftedSystem,
+                 dirichlet_term, edge_moment_matrix, neumann_lift,
+                 source_term)
 from .geometry import (BarycentricCoefficients, DegenerateElementError,
                        EdgeGeometry, barycentric_coordinates,
                        barycentric_gradients, edge_geometry)
@@ -22,8 +23,7 @@ from .mesh import (BoundaryEdges, EdgeTopology, Mesh, MeshError,
                    MeshFormatError, MeshTopologyError, build_edge_topology,
                    classify_boundary, read_mesh, signed_areas,
                    uniform_refine, validate_mesh, write_mesh)
-from .norms import (EDGE_GAUSS2_POSITIONS, EDGE_GAUSS2_WEIGHTS,
-                    TRI_QUADRATURE_DEGREE4, ErrorReport, ErrorRow,
+from .norms import (TRI_QUADRATURE_DEGREE4, ErrorReport, ErrorRow,
                     TriangleQuadrature, compute_errors, convergence_study,
                     eval_sigma_h)
 from .problems import (BUILTIN_MESHES, PROBLEMS, ProblemDefinition,

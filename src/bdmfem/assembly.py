@@ -7,12 +7,12 @@ discrete problem is
     [ C   0   ] [  u  ] = [b2],
 
 where B_mn = (alpha^-1 phi_m, phi_n) and C_lm = -(div phi_m, 1)_{K_l}.
-All integrals reduce to closed forms: with the oriented coefficients of
-edge slots i and j of one element,
+All integrals reduce to closed forms.  Every flux function restricted
+to an element is lambda_p (b, -a) / (2|K|) for some vertex p and
+gradient coefficients (a, b) (:func:`basis.flux_functions`), so two of
+them, (p, a, b) and (q, a', b'), give
 
-    (alpha^-1 phi_{i,1}, phi_{j,1}) = c (1 + d(i1,j1)) (a_i2 a_j2 + b_i2 b_j2)
-    (alpha^-1 phi_{i,1}, phi_{j,2}) = -c (1 + d(i1,j2)) (a_i2 a_j1 + b_i2 b_j1)
-    (alpha^-1 phi_{i,2}, phi_{j,2}) = c (1 + d(i2,j2)) (a_i1 a_j1 + b_i1 b_j1)
+    (alpha^-1 phi, phi') = c (1 + d(p, q)) (a a' + b b')
 
 with c = alpha^-1 / (48 |K|) and d the Kronecker delta, because
 int_K lambda_p lambda_q = (1 + d(p,q)) |K| / 12.  Contributions are
@@ -25,7 +25,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .basis import flux_columns, flux_dof_count, resolve_orientation
+from .basis import (flux_columns, flux_dof_count, flux_functions,
+                    resolve_orientation)
 
 __all__ = [
     "assemble_mass",
@@ -49,23 +50,21 @@ def assemble_mass(topo, coeffs, inv_alpha, family="bdm1"):
         Shape (2 NE, 2 NE) for "bdm1" — function 1 of edge j at row j,
         function 2 at row NE + j — or (NE, NE) for "rt0".
     """
-    o = resolve_orientation(topo, coeffs)
+    oriented = resolve_orientation(topo, coeffs)
     ne = topo.num_edges
     scale = np.asarray(inv_alpha, dtype=float) / (48 * coeffs.area)
-    col1, col2 = flux_columns(family, topo.elem_to_edge, ne)
+    columns = flux_columns(family, topo.elem_to_edge, ne)
+    # one (column, p, a, b) entry per function of each edge slot
+    funcs = [(col[:, i], p[:, i], a[:, i], b[:, i])
+             for col, (p, a, b) in zip(columns, flux_functions(oriented))
+             for i in range(3)]
 
     rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            e = scale * (1 + (o.i1[:, i] == o.i1[:, j])) * (
-                o.a2[:, i] * o.a2[:, j] + o.b2[:, i] * o.b2[:, j])
-            h = -scale * (1 + (o.i1[:, i] == o.i2[:, j])) * (
-                o.a2[:, i] * o.a1[:, j] + o.b2[:, i] * o.b1[:, j])
-            g = scale * (1 + (o.i2[:, i] == o.i2[:, j])) * (
-                o.a1[:, i] * o.a1[:, j] + o.b1[:, i] * o.b1[:, j])
-            rows += [col1[:, i], col1[:, i], col2[:, j], col2[:, i]]
-            cols += [col1[:, j], col2[:, j], col1[:, i], col2[:, j]]
-            vals += [e, h, h, g]
+    for col_m, p_m, a_m, b_m in funcs:
+        for col_n, p_n, a_n, b_n in funcs:
+            rows.append(col_m)
+            cols.append(col_n)
+            vals.append(scale * (1 + (p_m == p_n)) * (a_m * a_n + b_m * b_n))
 
     n = flux_dof_count(family, ne)
     mat = sp.coo_matrix(

@@ -23,21 +23,22 @@ The same functions restricted to both elements sharing E have matching
 normal traces, so coefficient vectors indexed by global edges describe
 H(div)-conforming fields.
 
-Assembly, boundary terms and flux evaluation only know the bdm1 pair:
-rt0 ties both functions of an edge to one unknown (:func:`flux_columns`),
-and duplicate summation yields P^T B P, C P and P^T b1 for P = [I; I].
-The rt0 branch of :func:`eval_basis` and :func:`divergence` is kept as
-an independent reference for tests.
+Assembly and flux evaluation read the bdm1 pair from one table
+(:func:`flux_functions`); rt0 ties both functions of an edge to one
+unknown (:func:`flux_columns`), and duplicate summation yields P^T B P,
+C P and P^T b1 for P = [I; I].  :func:`eval_basis` and
+:func:`divergence` spell both families out as a reference for tests.
 """
 
 import numpy as np
 
-from .mesh import LOCAL_EDGES
+from .mesh import LOCAL_EDGES, MeshTopologyError
 
 __all__ = [
     "FAMILIES",
     "OrientedEdgeBasis",
     "resolve_orientation",
+    "flux_functions",
     "flux_dof_count",
     "functions_per_edge",
     "flux_columns",
@@ -98,6 +99,10 @@ class OrientedEdgeBasis:
 def resolve_orientation(topo, coeffs):
     """Build the :class:`OrientedEdgeBasis` tables for a whole mesh."""
     nt = topo.elem_to_edge.shape[0]
+    if coeffs.area.shape[0] != nt:
+        raise MeshTopologyError(
+            "coefficients for {} elements, edge topology for {}; were they "
+            "built for another mesh?".format(coeffs.area.shape[0], nt))
     ii1 = np.broadcast_to(LOCAL_EDGES[:, 0], (nt, 3))
     ii2 = np.broadcast_to(LOCAL_EDGES[:, 1], (nt, 3))
     ascending = topo.sign_edge > 0
@@ -109,6 +114,14 @@ def resolve_orientation(topo, coeffs):
     b2 = np.take_along_axis(coeffs.b, i2, axis=1)
     return OrientedEdgeBasis(i1, i2, a1, b1, a2, b2, topo.elem_to_edge,
                              topo.sign_edge, coeffs.area, topo.num_edges)
+
+
+def flux_functions(oriented):
+    """phi_1 and phi_2 of every edge slot as (p, a, b) triples of (NT, 3)
+    arrays, each meaning lambda_p (b, -a) / (2|K|); phi_2's sign is
+    folded into its a and b."""
+    o = oriented
+    return (o.i1, o.a2, o.b2), (o.i2, -o.a1, -o.b1)
 
 
 def _check_barycentric(w):

@@ -3,12 +3,12 @@
 The source enters through the scalar equations as
 b2_l = -(f, 1)_{K_l}, integrated with the one-point centroid rule.
 Dirichlet data g_D is natural for the mixed system and contributes
--int_E (phi . n) g_D per boundary basis function, integrated with
-two-point Gauss.  Neumann data g_N is essential: the flux coefficients
-on Neumann edges are fixed so that sigma_h . n equals the L2 projection
-of g_N onto the edge's normal-trace space (linear per edge for "bdm1",
-constant for "rt0"), the lifted contribution is moved to the right-hand
-side, and those unknowns leave the system.
+-int_E (phi . n) g_D per boundary basis function.  Neumann data g_N is
+essential: the flux coefficients on Neumann edges are fixed so that
+sigma_h . n equals the L2 projection of g_N onto the edge's
+normal-trace space (linear per edge for "bdm1", constant for "rt0"),
+the lifted contribution is moved to the right-hand side, and those
+unknowns leave the system.
 
 On an edge of length L with global endpoints z_s, z_t the edge mass
 matrix of (lambda_s, lambda_t) is L/6 [[2, 1], [1, 2]]; inverting it
@@ -19,6 +19,9 @@ s (4 I_s - 2 I_t) and s (4 I_t - 2 I_s) with s the owning element's
 orientation sign (the 1/L of the normal trace cancels L).  An rt0
 unknown, tied to both, takes their mean s (I_s + I_t) = s int_E g_N,
 the projection onto constants.
+
+The Dirichlet load uses the same moments of g_D; all moments are taken
+with the two-point Gauss rule EDGE_GAUSS2_POSITIONS / _WEIGHTS.
 """
 
 import numpy as np
@@ -31,9 +34,16 @@ __all__ = [
     "dirichlet_term",
     "neumann_lift",
     "edge_moment_matrix",
+    "EDGE_GAUSS2_POSITIONS",
+    "EDGE_GAUSS2_WEIGHTS",
 ]
 
-_SQRT3 = np.sqrt(3.0)
+#: Two-point Gauss rule on a segment: fractional positions from the
+#: start vertex and weights relative to the segment length (exact
+#: through degree 3).
+EDGE_GAUSS2_POSITIONS = np.array([0.5 - 0.5 / np.sqrt(3.0),
+                                  0.5 + 0.5 / np.sqrt(3.0)])
+EDGE_GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
 
 class LiftedSystem:
@@ -58,13 +68,14 @@ def edge_moment_matrix(length):
     return m, minv
 
 
-def _gauss_points(nodes, edges):
-    """Two-point Gauss nodes of each edge, from its global start."""
-    n1 = nodes[edges[:, 0]]
-    n2 = nodes[edges[:, 1]]
-    offset = (n2 - n1) / (2 * _SQRT3)
-    mid = (n1 + n2) / 2
-    return mid - offset, mid + offset
+def _edge_moments(nodes, edges, g):
+    """Moments int_E g lambda_s / |E| and int_E g lambda_t / |E| of
+    each edge (start z_s, end z_t) by the EDGE_GAUSS2 rule."""
+    start = nodes[edges[:, 0]]
+    d = nodes[edges[:, 1]] - start
+    gw = EDGE_GAUSS2_WEIGHTS[:, None] * np.array(
+        [g(start + pos * d) for pos in EDGE_GAUSS2_POSITIONS], dtype=float)
+    return (1 - EDGE_GAUSS2_POSITIONS) @ gw, EDGE_GAUSS2_POSITIONS @ gw
 
 
 def source_term(mesh, coeffs, source):
@@ -77,26 +88,22 @@ def dirichlet_term(mesh, boundary, g_dirichlet, num_edges, family="bdm1"):
     """Flux-equation load from Dirichlet data.
 
     For each Dirichlet edge, -int_E (phi . n_out) g_D for its basis
-    functions by two-point Gauss; with the trace lambda_s / |E| the
-    edge length cancels, leaving the plain weight combination
+    functions; with the trace lambda_s / |E| the edge length cancels,
+    leaving the moments I_s / |E| and I_t / |E| of g_D:
 
-        b1[j]      -= s (g(p1) (1/4 + 1/(4 sqrt 3)) + g(p2) (1/4 - 1/(4 sqrt 3)))
-        b1[NE + j] -= s (g(p1) (1/4 - 1/(4 sqrt 3)) + g(p2) (1/4 + 1/(4 sqrt 3)))
+        b1[j]      -= s I_s / |E|,    b1[NE + j] -= s I_t / |E|
 
     (for "rt0" both land in row j and add up).
     """
     b1 = np.zeros(flux_dof_count(family, num_edges))
     if boundary.num_dirichlet == 0:
         return b1
-    p1, p2 = _gauss_points(mesh.nodes, boundary.dirichlet)
-    g1 = np.asarray(g_dirichlet(p1), dtype=float)
-    g2 = np.asarray(g_dirichlet(p2), dtype=float)
+    moment_s, moment_t = _edge_moments(mesh.nodes, boundary.dirichlet,
+                                       g_dirichlet)
     s = boundary.sign_dirichlet
-    wp = 0.25 + 0.25 / _SQRT3
-    wm = 0.25 - 0.25 / _SQRT3
     col1, col2 = flux_columns(family, boundary.ind_dirichlet, num_edges)
-    np.add.at(b1, col1, -s * (g1 * wp + g2 * wm))
-    np.add.at(b1, col2, -s * (g1 * wm + g2 * wp))
+    np.add.at(b1, col1, -s * moment_s)
+    np.add.at(b1, col2, -s * moment_t)
     return b1
 
 
@@ -121,13 +128,9 @@ def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
         nodes = mesh.nodes
         edges = boundary.neumann
         length = np.hypot(*(nodes[edges[:, 1]] - nodes[edges[:, 0]]).T)
-        p1, p2 = _gauss_points(nodes, edges)
-        g1 = np.asarray(g_neumann(p1), dtype=float)
-        g2 = np.asarray(g_neumann(p2), dtype=float)
-        # moments of g_N against lambda_s and lambda_t by 2-point Gauss
-        moment_s = length * (g1 * (1 + 1 / _SQRT3) + g2 * (1 - 1 / _SQRT3)) / 4
-        moment_t = length * (g1 * (1 - 1 / _SQRT3) + g2 * (1 + 1 / _SQRT3)) / 4
-        s = boundary.sign_neumann
+        moment_s, moment_t = _edge_moments(nodes, edges, g_neumann)
+        # s (4 I_s - 2 I_t) and s (4 I_t - 2 I_s) with I = |E| moment
+        s = boundary.sign_neumann * length
         cols = np.concatenate(
             flux_columns(family, boundary.ind_neumann, num_edges))
         vals = np.concatenate([s * (4 * moment_s - 2 * moment_t),

@@ -163,12 +163,6 @@ def signed_areas(mesh):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _edge_keys(lo, hi, base):
-    """Key lo * base + hi of ascending vertex pairs; with `base` above
-    every index, keys sort like the pairs and decode by divmod."""
-    return lo * base + hi
-
-
 def _number_edges(mesh):
     """Unique edges as ascending vertex pairs in lexicographic order,
     each local edge's index into them, shape (NT, 3), and the number of
@@ -176,7 +170,9 @@ def _number_edges(mesh):
     start = mesh.elements[:, LOCAL_EDGES[:, 0]]
     end = mesh.elements[:, LOCAL_EDGES[:, 1]]
     base = 1 + int(mesh.elements.max(initial=0))
-    keys = _edge_keys(np.minimum(start, end), np.maximum(start, end), base)
+    # key lo * base + hi of the ascending pair: with `base` above every
+    # index, keys sort like the pairs and decode by divmod
+    keys = np.minimum(start, end) * base + np.maximum(start, end)
     keys, inverse, counts = np.unique(
         keys.ravel(), return_inverse=True, return_counts=True)
     edges = np.column_stack(np.divmod(keys, base))
@@ -265,29 +261,24 @@ def build_edge_topology(mesh):
     return EdgeTopology(edges, elem_to_edge, sign_edge)
 
 
-def _locate_edges(topo, rows):
-    """Global indices of ascending vertex pairs in topo.edges; a pair
-    missing there raises :class:`MeshTopologyError`."""
-    base = 1 + max(topo.edges.max(initial=0), rows.max(initial=0))
-    keys = _edge_keys(topo.edges[:, 0], topo.edges[:, 1], base)
-    wanted = _edge_keys(rows[:, 0], rows[:, 1], base)
-    ind = np.searchsorted(keys, wanted)
-    missing = np.flatnonzero(keys.take(ind, mode="clip") != wanted)
-    if missing.size:
-        raise MeshTopologyError(
-            "boundary edge ({}, {}) is not in the edge topology; was it "
-            "built for another mesh?".format(*rows[missing[0]]))
-    return ind
-
-
 def classify_boundary(mesh, topo):
     """Split the marked boundary edges into Dirichlet and Neumann sets.
+
+    Global indices are read from ``topo.elem_to_edge``; each set is
+    ordered by them, which is lexicographic order of the vertex pairs.
 
     Raises
     ------
     MeshError
         If a nonzero marker sits on an edge shared by two elements.
+    MeshTopologyError
+        If `topo` does not number the edges of this mesh.
     """
+    if topo.elem_to_edge.shape != mesh.elements.shape:
+        raise MeshTopologyError(
+            "edge topology covers {} elements, the mesh has {}; was it "
+            "built for another mesh?".format(
+                topo.elem_to_edge.shape[0], mesh.num_elements))
     adjacency = np.bincount(topo.elem_to_edge.ravel(),
                             minlength=topo.num_edges)
     start = mesh.elements[:, LOCAL_EDGES[:, 0]]
@@ -296,20 +287,27 @@ def classify_boundary(mesh, topo):
     parts = {}
     for kind in (DIRICHLET, NEUMANN):
         t, i = np.nonzero(mesh.boundary_markers == kind)
-        shared = adjacency[topo.elem_to_edge[t, i]] != 1
+        ind = topo.elem_to_edge[t, i]
+        shared = adjacency[ind] != 1
         if shared.any():
             k = np.flatnonzero(shared)[0]
             raise MeshError(
                 "marker {} on interior edge ({}, {})".format(
                     kind, *sorted((start[t[k], i[k]], end[t[k], i[k]]))))
-        a = start[t, i]
-        b = end[t, i]
+        order = np.argsort(ind)
+        ind = ind[order]
+        a = start[t[order], i[order]]
+        b = end[t[order], i[order]]
         sign = np.where(a < b, 1, -1).astype(np.int64)
         rows = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1)
-        order = np.lexsort((rows[:, 1], rows[:, 0]))
-        rows = rows[order]
-        sign = sign[order]
-        parts[kind] = (rows, sign, _locate_edges(topo, rows))
+        stale = np.flatnonzero((topo.edges[ind] != rows).any(axis=1))
+        if stale.size:
+            k = stale[0]
+            raise MeshTopologyError(
+                "boundary edge ({}, {}) is not in the edge topology at "
+                "index {}; was it built for another mesh?".format(
+                    *rows[k], ind[k]))
+        parts[kind] = (rows, sign, ind)
 
     return BoundaryEdges(*parts[DIRICHLET], *parts[NEUMANN])
 

@@ -1,4 +1,4 @@
-"""Quadrature rules, discrete flux evaluation and error norms.
+"""Triangle quadrature, discrete flux evaluation and error norms.
 
 Errors are measured in the weighted L2 norms
 
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import flux_columns, flux_dof_count, resolve_orientation
+from .basis import (flux_columns, flux_dof_count, flux_functions,
+                    resolve_orientation)
 from .geometry import barycentric_gradients, edge_geometry
 from .mesh import build_edge_topology, uniform_refine
 from .solve import solve_problem
@@ -32,8 +33,6 @@ from .solve import solve_problem
 __all__ = [
     "TriangleQuadrature",
     "TRI_QUADRATURE_DEGREE4",
-    "EDGE_GAUSS2_POSITIONS",
-    "EDGE_GAUSS2_WEIGHTS",
     "eval_sigma_h",
     "compute_errors",
     "ErrorRow",
@@ -65,10 +64,9 @@ class TriangleQuadrature:
         lam1 = 1 - self.points.sum(axis=1)
         return np.column_stack([lam1, self.points])
 
-    def physical_points(self, mesh, elements=None):
-        """Map the nodes into elements; shape (n_q, NT, 2)."""
-        tri = mesh.nodes[mesh.elements if elements is None
-                         else mesh.elements[elements]]
+    def physical_points(self, mesh):
+        """Map the nodes into every element; shape (n_q, NT, 2)."""
+        tri = mesh.nodes[mesh.elements]
         return np.einsum("qi,tid->qtd", self.barycentric, tri)
 
 
@@ -87,13 +85,6 @@ TRI_QUADRATURE_DEGREE4 = TriangleQuadrature(
         0.10995174365532, 0.10995174365532, 0.10995174365532,
     ]),
 )
-
-#: Two-point Gauss rule on a segment: fractional positions from the
-#: start vertex and weights relative to the segment length (exact
-#: through degree 3).
-EDGE_GAUSS2_POSITIONS = np.array([0.5 - 0.5 / np.sqrt(3.0),
-                                  0.5 + 0.5 / np.sqrt(3.0)])
-EDGE_GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
 
 def eval_sigma_h(flux, oriented, lam, family="bdm1", elements=None):
@@ -115,30 +106,22 @@ def eval_sigma_h(flux, oriented, lam, family="bdm1", elements=None):
     """
     if elements is None:
         elements = slice(None)
-    col1, col2 = flux_columns(family, oriented.elem_to_edge[elements],
-                              oriented.num_edges)
-    i1 = oriented.i1[elements]
-    i2 = oriented.i2[elements]
-    a1 = oriented.a1[elements]
-    b1 = oriented.b1[elements]
-    a2 = oriented.a2[elements]
-    b2 = oriented.b2[elements]
+    columns = flux_columns(family, oriented.elem_to_edge[elements],
+                           oriented.num_edges)
     inv2a = 1.0 / (2 * oriented.area[elements])
     rows = np.arange(lam.shape[0])
 
     out = np.zeros((lam.shape[0], 2))
-    for i in range(3):
-        lam1 = lam[rows, i1[:, i]]
-        lam2 = lam[rows, i2[:, i]]
-        x1 = flux[col1[:, i]]
-        x2 = flux[col2[:, i]]
-        out[:, 0] += (x1 * lam1 * b2[:, i] - x2 * lam2 * b1[:, i]) * inv2a
-        out[:, 1] += (-x1 * lam1 * a2[:, i] + x2 * lam2 * a1[:, i]) * inv2a
+    for col, (p, a, b) in zip(columns, flux_functions(oriented)):
+        p, a, b = p[elements], a[elements], b[elements]
+        for i in range(3):
+            w = flux[col[:, i]] * lam[rows, p[:, i]] * inv2a
+            out[:, 0] += w * b[:, i]
+            out[:, 1] -= w * a[:, i]
     return out
 
 
-def compute_errors(mesh, topo, coeffs, solution, problem,
-                   quadrature=TRI_QUADRATURE_DEGREE4, method=None):
+def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
     """Weighted L2 errors of a mixed solution against the exact fields.
 
     Parameters
@@ -169,8 +152,8 @@ def compute_errors(mesh, topo, coeffs, solution, problem,
     centroids = mesh.nodes[mesh.elements].mean(axis=1)
     inv_alpha = 1.0 / np.asarray(problem.alpha(centroids), dtype=float)
     u_h = solution.u
-    lam_all = quadrature.barycentric
-    points = quadrature.physical_points(mesh)
+    lam_all = TRI_QUADRATURE_DEGREE4.barycentric
+    points = TRI_QUADRATURE_DEGREE4.physical_points(mesh)
 
     nt = mesh.num_elements
     cross_s = np.zeros(nt)   # int_K sigma . sigma_h
@@ -178,7 +161,7 @@ def compute_errors(mesh, topo, coeffs, solution, problem,
     int_u = np.zeros(nt)     # int_K u
     diff_s = np.zeros(nt)    # int_K |sigma - sigma_h|^2
     diff_u = np.zeros(nt)    # int_K (u - u_h)^2
-    for q, w in enumerate(quadrature.weights):
+    for q, w in enumerate(TRI_QUADRATURE_DEGREE4.weights):
         p = points[q]
         lam = np.broadcast_to(lam_all[q], (nt, 3))
         sig_h = eval_sigma_h(solution.sigma, oriented, lam, solution.family)
@@ -240,8 +223,7 @@ class ErrorReport:
 
 
 def convergence_study(problem, base_mesh, levels, family="bdm1",
-                      method="direct", tol=1e-10,
-                      quadrature=TRI_QUADRATURE_DEGREE4):
+                      method="direct", tol=1e-10):
     """Solve on the base mesh and `levels` - 1 uniform refinements.
 
     The first row is assigned h equal to the longest edge of the base
@@ -260,7 +242,7 @@ def convergence_study(problem, base_mesh, levels, family="bdm1",
         solution = solve_problem(mesh, problem, family=family, method=method,
                                  tol=tol, topo=topo, coeffs=coeffs)
         err_sigma, err_u, err_method = compute_errors(
-            mesh, topo, coeffs, solution, problem, quadrature)
+            mesh, topo, coeffs, solution, problem)
         report.rows.append(ErrorRow(
             level=level,
             h=h,

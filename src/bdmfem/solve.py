@@ -137,8 +137,8 @@ def solve_reduced(system, lifted, num_elements, family="bdm1",
 
 
 def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
-                  topo=None, coeffs=None, check=True):
-    """Assemble and solve a diffusion problem on a mesh.
+                  topo=None, coeffs=None):
+    """Validate a mesh, then assemble and solve a diffusion problem on it.
 
     Parameters
     ----------
@@ -150,17 +150,14 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     topo, coeffs : optional
         Precomputed edge topology and barycentric coefficients; both
         are derived from the mesh when omitted.
-    check : bool
-        Run :func:`validate_mesh` first and refuse invalid meshes.
 
     Returns
     -------
     MixedSolution
     """
-    if check:
-        violations = validate_mesh(mesh)
-        if violations:
-            raise MeshError("invalid mesh: " + "; ".join(violations))
+    violations = validate_mesh(mesh)
+    if violations:
+        raise MeshError("invalid mesh: " + "; ".join(violations))
     if topo is None:
         topo = build_edge_topology(mesh)
     if coeffs is None:

@@ -177,6 +177,28 @@ class TestBoundary:
             bf.solve_problem(permuted, bf.get_problem("paper-example"),
                              topo=stale)
 
+    @pytest.mark.parametrize("call", ["classify", "solve-topo",
+                                      "solve-coeffs", "errors"])
+    def test_data_of_coarser_mesh_rejected(self, paper_mesh, paper_topo,
+                                           paper_coeffs, call):
+        # topology or coefficients of the base mesh passed with its
+        # refinement: fewer elements, so blind indexing would fail
+        fine = bf.uniform_refine(paper_mesh)
+        problem = bf.get_problem("paper-example")
+        solution = bf.solve_problem(fine, problem)
+        calls = {
+            "classify": lambda: bf.classify_boundary(fine, paper_topo),
+            "solve-topo": lambda: bf.solve_problem(fine, problem,
+                                                   topo=paper_topo),
+            "solve-coeffs": lambda: bf.solve_problem(fine, problem,
+                                                     coeffs=paper_coeffs),
+            "errors": lambda: bf.compute_errors(
+                fine, paper_topo, bf.barycentric_gradients(fine), solution,
+                problem),
+        }
+        with pytest.raises(bf.MeshTopologyError, match="another mesh"):
+            calls[call]()
+
 
 class TestRefinement:
 
