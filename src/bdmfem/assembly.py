@@ -15,20 +15,25 @@ them, (p, a, b) and (q, a', b'), give
     (alpha^-1 phi, phi') = c (1 + d(p, q)) (a a' + b b')
 
 with c = alpha^-1 / (48 |K|) and d the Kronecker delta, because
-int_K lambda_p lambda_q = (1 + d(p,q)) |K| / 12.  Contributions are
-accumulated as coordinate triplets (duplicates summed) and compressed
-to CSR; for rt0, whose two functions per edge share one column, that
-summation is the restriction to the tied unknowns.
+int_K lambda_p lambda_q = (1 + d(p,q)) |K| / 12.  The closed forms
+fill one block per element over its local unknowns
+(:func:`element_mass`, :func:`element_divergence`); rt0, whose two
+functions per edge share one unknown, restricts the bdm1 block with
+P = [I; I].  B and C are those blocks scattered as coordinate triplets
+(duplicates summed) and compressed to CSR; the hybridized solve in
+:mod:`solve` eliminates the same blocks element by element.
 """
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .basis import (flux_columns, flux_dof_count, flux_functions,
-                    resolve_orientation)
+from .basis import (flux_dof_count, flux_functions, functions_per_edge,
+                    local_columns, resolve_orientation)
 
 __all__ = [
+    "element_mass",
+    "element_divergence",
     "assemble_mass",
     "assemble_divergence",
     "assemble_system",
@@ -36,13 +41,44 @@ __all__ = [
 ]
 
 
-def assemble_mass(topo, coeffs, inv_alpha, family="bdm1"):
-    """Assemble the weighted flux mass matrix B.
+def element_mass(topo, coeffs, inv_alpha, family="bdm1"):
+    """Weighted flux mass block M_K of every element, shape (NT, k, k).
+
+    Rows and columns follow :func:`basis.local_columns`.  For "rt0"
+    the block is P^T M6 P with P = [I; I], summed as
+    (M11 + M22) + (M12 + M21) so that it stays exactly symmetric.
 
     Parameters
     ----------
     inv_alpha : (NT,) float array
         Reciprocal diffusion coefficient, one value per element.
+    """
+    oriented = resolve_orientation(topo, coeffs)
+    scale = np.asarray(inv_alpha, dtype=float) / (48 * coeffs.area)
+    # phi_1 of the three slots, then phi_2: (NT, 6) arrays
+    p, a, b = (np.concatenate(part, axis=1)
+               for part in zip(*flux_functions(oriented)))
+    blocks = (scale[:, None, None] * (1 + (p[:, :, None] == p[:, None, :]))
+              * (a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :]))
+    if functions_per_edge(family) == 1:
+        blocks = ((blocks[:, :3, :3] + blocks[:, 3:, 3:])
+                  + (blocks[:, :3, 3:] + blocks[:, 3:, :3]))
+    return blocks
+
+
+def element_divergence(topo, family="bdm1"):
+    """Divergence row D_K of every element, shape (NT, k).
+
+    Entry -(div phi, 1)_K of each local unknown (:func:`basis.local_columns`):
+    the element area cancels against the constant divergence, leaving
+    -s/2 for each bdm1 function of an edge and -s for the rt0 one.
+    """
+    _, signs = local_columns(family, topo)
+    return -signs / functions_per_edge(family)
+
+
+def assemble_mass(topo, coeffs, inv_alpha, family="bdm1"):
+    """Assemble the weighted flux mass matrix B from :func:`element_mass`.
 
     Returns
     -------
@@ -50,45 +86,26 @@ def assemble_mass(topo, coeffs, inv_alpha, family="bdm1"):
         Shape (2 NE, 2 NE) for "bdm1" — function 1 of edge j at row j,
         function 2 at row NE + j — or (NE, NE) for "rt0".
     """
-    oriented = resolve_orientation(topo, coeffs)
-    ne = topo.num_edges
-    scale = np.asarray(inv_alpha, dtype=float) / (48 * coeffs.area)
-    columns = flux_columns(family, topo.elem_to_edge, ne)
-    # one (column, p, a, b) entry per function of each edge slot
-    funcs = [(col[:, i], p[:, i], a[:, i], b[:, i])
-             for col, (p, a, b) in zip(columns, flux_functions(oriented))
-             for i in range(3)]
-
-    rows, cols, vals = [], [], []
-    for col_m, p_m, a_m, b_m in funcs:
-        for col_n, p_n, a_n, b_n in funcs:
-            rows.append(col_m)
-            cols.append(col_n)
-            vals.append(scale * (1 + (p_m == p_n)) * (a_m * a_n + b_m * b_n))
-
-    n = flux_dof_count(family, ne)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    columns, _ = local_columns(family, topo)
+    blocks = element_mass(topo, coeffs, inv_alpha, family)
+    rows = np.broadcast_to(columns[:, :, None], blocks.shape)
+    cols = np.broadcast_to(columns[:, None, :], blocks.shape)
+    n = flux_dof_count(family, topo.num_edges)
+    mat = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(n, n))
     return mat.tocsr()
 
 
 def assemble_divergence(topo, family="bdm1"):
-    """Assemble the divergence constraint matrix C.
-
-    Row l holds -(div phi_m, 1)_{K_l} for the flux functions phi_m.
-    The element area cancels against the constant divergence, leaving
-    -s/2 at the columns of both functions of each edge of element l
-    (summing to -s at the single column of an rt0 edge).
-    """
-    nt, ne = topo.elem_to_edge.shape[0], topo.num_edges
-    elem = np.repeat(np.arange(nt), 3)
-    sign = topo.sign_edge.ravel().astype(float)
-    rows = np.concatenate([elem, elem])
-    cols = np.concatenate(flux_columns(family, topo.elem_to_edge.ravel(), ne))
-    vals = np.concatenate([-sign / 2, -sign / 2])
-    n = flux_dof_count(family, ne)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nt, n)).tocsr()
+    """Assemble the divergence constraint matrix C from
+    :func:`element_divergence`: row l holds -(div phi_m, 1)_{K_l}."""
+    columns, _ = local_columns(family, topo)
+    nt, k = columns.shape
+    rows = np.repeat(np.arange(nt), k)
+    n = flux_dof_count(family, topo.num_edges)
+    return sp.coo_matrix(
+        (element_divergence(topo, family).ravel(), (rows, columns.ravel())),
+        shape=(nt, n)).tocsr()
 
 
 def assemble_system(mass, divergence):

@@ -42,6 +42,7 @@ __all__ = [
     "flux_dof_count",
     "functions_per_edge",
     "flux_columns",
+    "local_columns",
     "eval_basis",
     "normal_trace",
     "divergence",
@@ -64,6 +65,15 @@ def flux_columns(family, edges, num_edges):
     """Flux-vector columns of the two bdm1 functions of `edges`: j and
     NE + j for "bdm1", j for both in "rt0"."""
     return edges, edges + (functions_per_edge(family) - 1) * num_edges
+
+
+def local_columns(family, topo):
+    """Flux column and orientation sign of every element's local
+    unknowns, (NT, k) arrays each: phi_1 of slots 0-2, then phi_2, for
+    "bdm1" (k = 6); one tied unknown per slot for "rt0" (k = 3)."""
+    k = functions_per_edge(family)
+    columns = flux_columns(family, topo.elem_to_edge, topo.num_edges)
+    return np.concatenate(columns[:k], axis=1), np.tile(topo.sign_edge, k)
 
 
 def flux_dof_count(family, num_edges):

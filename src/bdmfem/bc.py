@@ -48,13 +48,14 @@ EDGE_GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
 class LiftedSystem:
     """Solution vector seeded with the lifted Neumann coefficients,
-    the correspondingly corrected right-hand side, and the indices of
-    the unknowns that remain free."""
+    the correspondingly corrected right-hand side, the indices of the
+    unknowns that remain free, and the load [b1; b2] before the lift."""
 
-    def __init__(self, sol, rhs, free_dofs):
+    def __init__(self, sol, rhs, free_dofs, load):
         self.sol = sol
         self.rhs = rhs
         self.free_dofs = free_dofs
+        self.load = load
 
 
 def edge_moment_matrix(length):
@@ -112,8 +113,8 @@ def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
 
     Returns a :class:`LiftedSystem` whose ``sol`` holds the lifted
     coefficients (zeros elsewhere), whose ``rhs`` is
-    [b1; b2] - system @ sol, and whose ``free_dofs`` excludes the
-    Neumann flux unknowns.
+    ``load`` - system @ sol with ``load`` = [b1; b2], and whose
+    ``free_dofs`` excludes the Neumann flux unknowns.
     """
     ndof = system.shape[0]
     num_edges = len(b1) // functions_per_edge(family)
@@ -140,7 +141,6 @@ def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
         np.add.at(sol, cols, vals / count[cols])
 
     fixed = count > 0
-    rhs = np.concatenate([b1, b2])
-    if fixed.any():
-        rhs = rhs - system @ sol
-    return LiftedSystem(sol, rhs, np.flatnonzero(~fixed))
+    load = np.concatenate([b1, b2])
+    rhs = load - system @ sol if fixed.any() else load
+    return LiftedSystem(sol, rhs, np.flatnonzero(~fixed), load)

@@ -13,11 +13,14 @@ constants c_i are never needed.
 
 import numpy as np
 
+from .mesh import MeshTopologyError
+
 __all__ = [
     "DegenerateElementError",
     "BarycentricCoefficients",
     "EdgeGeometry",
     "barycentric_gradients",
+    "check_coefficients",
     "edge_geometry",
     "barycentric_coordinates",
 ]
@@ -71,6 +74,15 @@ class EdgeGeometry:
             arr.setflags(write=False)
 
 
+def _gradient_coefficients(mesh):
+    """a_i = y_{i+1} - y_{i+2} and b_i = x_{i+2} - x_{i+1}, (NT, 3) each."""
+    x = mesh.nodes[mesh.elements, 0]
+    y = mesh.nodes[mesh.elements, 1]
+    nxt = [1, 2, 0]
+    prv = [2, 0, 1]
+    return y[:, nxt] - y[:, prv], x[:, prv] - x[:, nxt]
+
+
 def barycentric_gradients(mesh):
     """Compute :class:`BarycentricCoefficients` for every element.
 
@@ -79,12 +91,7 @@ def barycentric_gradients(mesh):
     DegenerateElementError
         If any element has non-positive area.
     """
-    x = mesh.nodes[mesh.elements, 0]
-    y = mesh.nodes[mesh.elements, 1]
-    nxt = [1, 2, 0]
-    prv = [2, 0, 1]
-    a = y[:, nxt] - y[:, prv]
-    b = x[:, prv] - x[:, nxt]
+    a, b = _gradient_coefficients(mesh)
     area = 0.5 * (a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1])
     bad = np.flatnonzero(area <= 0)
     if bad.size:
@@ -92,6 +99,26 @@ def barycentric_gradients(mesh):
             "element {}: signed area {:g} is not positive".format(
                 bad[0], area[bad[0]]))
     return BarycentricCoefficients(a, b, area)
+
+
+def check_coefficients(mesh, coeffs):
+    """Refuse coefficients that were not computed from `mesh`.
+
+    a and b are plain differences of vertex coordinates, so this mesh's
+    own coefficients reproduce them exactly; those of another mesh, even
+    one with as many elements and the same areas, do not.
+
+    Raises
+    ------
+    MeshTopologyError
+        If coeffs.a or coeffs.b differ from this mesh's in any entry.
+    """
+    a, b = _gradient_coefficients(mesh)
+    if not (np.array_equal(coeffs.a, a) and np.array_equal(coeffs.b, b)):
+        raise MeshTopologyError(
+            "barycentric coefficients do not match the vertex coordinates "
+            "of this mesh ({} elements); were they built for another "
+            "mesh?".format(mesh.num_elements))
 
 
 def edge_geometry(mesh, topo):

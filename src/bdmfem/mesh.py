@@ -288,18 +288,14 @@ def classify_boundary(mesh, topo):
     for kind in (DIRICHLET, NEUMANN):
         t, i = np.nonzero(mesh.boundary_markers == kind)
         ind = topo.elem_to_edge[t, i]
-        shared = adjacency[ind] != 1
-        if shared.any():
-            k = np.flatnonzero(shared)[0]
-            raise MeshError(
-                "marker {} on interior edge ({}, {})".format(
-                    kind, *sorted((start[t[k], i[k]], end[t[k], i[k]]))))
         order = np.argsort(ind)
         ind = ind[order]
         a = start[t[order], i[order]]
         b = end[t[order], i[order]]
         sign = np.where(a < b, 1, -1).astype(np.int64)
         rows = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1)
+        # a foreign topology is named as such before its adjacency is
+        # trusted to find interior edges
         stale = np.flatnonzero((topo.edges[ind] != rows).any(axis=1))
         if stale.size:
             k = stale[0]
@@ -307,6 +303,10 @@ def classify_boundary(mesh, topo):
                 "boundary edge ({}, {}) is not in the edge topology at "
                 "index {}; was it built for another mesh?".format(
                     *rows[k], ind[k]))
+        shared = np.flatnonzero(adjacency[ind] != 1)
+        if shared.size:
+            raise MeshError("marker {} on interior edge ({}, {})".format(
+                kind, *rows[shared[0]]))
         parts[kind] = (rows, sign, ind)
 
     return BoundaryEdges(*parts[DIRICHLET], *parts[NEUMANN])

@@ -26,7 +26,8 @@ import numpy as np
 
 from .basis import (flux_columns, flux_dof_count, flux_functions,
                     resolve_orientation)
-from .geometry import barycentric_gradients, edge_geometry
+from .geometry import (barycentric_gradients, check_coefficients,
+                       edge_geometry)
 from .mesh import build_edge_topology, uniform_refine
 from .solve import solve_problem
 
@@ -133,6 +134,12 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
     Returns
     -------
     (err_sigma, err_u, method_used)
+
+    Raises
+    ------
+    MeshTopologyError
+        If `coeffs` were built for another mesh, or `topo` for one with
+        another number of elements.
     """
     if problem.exact_sigma is None or problem.exact_u is None:
         raise ValueError(
@@ -146,6 +153,7 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
             "method".format(problem.name))
     if method not in ("expansion", "direct"):
         raise ValueError("unknown error method {!r}".format(method))
+    check_coefficients(mesh, coeffs)
 
     oriented = resolve_orientation(topo, coeffs)
     area = coeffs.area

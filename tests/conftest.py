@@ -1,11 +1,14 @@
 """Shared fixtures: the 16-element reference mesh with its hand-checked
-topology tables, and random-mesh generators for property tests."""
+topology tables, random-mesh generators for property tests, and the
+whole saddle-system solve that the hybridized direct solve is checked
+against."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
 import bdmfem as bf
@@ -150,3 +153,40 @@ def edge_elements(topo):
         for i in range(3):
             owners[topo.elem_to_edge[t, i]].append((t, i))
     return owners
+
+
+def relabel(mesh, seed):
+    """The same mesh with vertices and elements permuted and each
+    triangle started at another of its vertices (markers follow)."""
+    rng = np.random.default_rng(seed)
+    new = rng.permutation(mesh.num_nodes)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[new] = mesh.nodes
+    order = rng.permutation(mesh.num_elements)
+    cols = (np.arange(3) + rng.integers(0, 3, (mesh.num_elements, 1))) % 3
+    return bf.Mesh(nodes,
+                   np.take_along_axis(new[mesh.elements][order], cols, 1),
+                   np.take_along_axis(mesh.boundary_markers[order], cols, 1))
+
+
+def saddle_solve(mesh, problem, family="bdm1"):
+    """Reference (sigma, u): the saddle system [B C'; C 0] with the
+    Neumann unknowns lifted out, factored whole by SuperLU."""
+    topo = bf.build_edge_topology(mesh)
+    coeffs = bf.barycentric_gradients(mesh)
+    boundary = bf.classify_boundary(mesh, topo)
+    inv_alpha = 1.0 / problem.alpha(mesh.nodes[mesh.elements].mean(axis=1))
+    system = bf.assemble_system(
+        bf.assemble_mass(topo, coeffs, inv_alpha, family),
+        bf.assemble_divergence(topo, family))
+    b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet,
+                           topo.num_edges, family)
+    b2 = bf.source_term(mesh, coeffs, problem.source)
+    lifted = bf.neumann_lift(mesh, boundary, problem.neumann, system, b1, b2,
+                             family)
+    free = lifted.free_dofs
+    sol = lifted.sol.copy()
+    sol[free] = spla.splu(system[free][:, free].tocsc()).solve(
+        lifted.rhs[free])
+    nf = bf.flux_dof_count(family, topo.num_edges)
+    return sol[:nf], sol[nf:]

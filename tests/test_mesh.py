@@ -6,7 +6,7 @@ import pytest
 
 import bdmfem as bf
 from conftest import (REFERENCE_EDGES_1B, REFERENCE_ELEM2EDGE_1B,
-                      REFERENCE_SIGNEDGE, random_mesh)
+                      REFERENCE_SIGNEDGE, random_mesh, relabel)
 
 
 def single_triangle():
@@ -178,14 +178,21 @@ class TestBoundary:
                              topo=stale)
 
     @pytest.mark.parametrize("call", ["classify", "solve-topo",
-                                      "solve-coeffs", "errors"])
+                                      "solve-coeffs", "errors",
+                                      "solve-coeffs-same-size",
+                                      "errors-coeffs-same-size"])
     def test_data_of_coarser_mesh_rejected(self, paper_mesh, paper_topo,
                                            paper_coeffs, call):
         # topology or coefficients of the base mesh passed with its
-        # refinement: fewer elements, so blind indexing would fail
+        # refinement: fewer elements, so blind indexing would fail.
+        # The same-size cases pass the coefficients of the refinement
+        # with a relabelled copy of it: same count, same areas, other
+        # vertex order, and once solved u 11% off without an error
         fine = bf.uniform_refine(paper_mesh)
         problem = bf.get_problem("paper-example")
         solution = bf.solve_problem(fine, problem)
+        other = relabel(fine, 11)
+        fine_coeffs = bf.barycentric_gradients(fine)
         calls = {
             "classify": lambda: bf.classify_boundary(fine, paper_topo),
             "solve-topo": lambda: bf.solve_problem(fine, problem,
@@ -193,11 +200,32 @@ class TestBoundary:
             "solve-coeffs": lambda: bf.solve_problem(fine, problem,
                                                      coeffs=paper_coeffs),
             "errors": lambda: bf.compute_errors(
-                fine, paper_topo, bf.barycentric_gradients(fine), solution,
-                problem),
+                fine, paper_topo, fine_coeffs, solution, problem),
+            "solve-coeffs-same-size": lambda: bf.solve_problem(
+                other, problem, coeffs=fine_coeffs),
+            "errors-coeffs-same-size": lambda: bf.compute_errors(
+                other, bf.build_edge_topology(other), fine_coeffs,
+                bf.solve_problem(other, problem), problem),
         }
         with pytest.raises(bf.MeshTopologyError, match="another mesh"):
             calls[call]()
+
+    def test_topology_of_relabelled_copy_named(self, paper_mesh):
+        # the foreign topology's adjacency would put a marked edge in
+        # the interior; the edge pairs are compared first
+        fine = bf.uniform_refine(bf.uniform_refine(paper_mesh))
+        with pytest.raises(bf.MeshTopologyError, match="another mesh"):
+            bf.classify_boundary(relabel(fine, 11),
+                                 bf.build_edge_topology(fine))
+
+    def test_interior_marker_rejected(self, paper_mesh, paper_topo):
+        markers = paper_mesh.boundary_markers.copy()
+        t, i = np.argwhere(markers == 0)[0]
+        markers[t, i] = 1
+        mesh = bf.Mesh(paper_mesh.nodes, paper_mesh.elements, markers)
+        with pytest.raises(bf.MeshError, match="interior edge") as info:
+            bf.classify_boundary(mesh, paper_topo)
+        assert not isinstance(info.value, bf.MeshTopologyError)
 
 
 class TestRefinement:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bdmfem as bf
-from conftest import mark_boundary_dirichlet, random_mesh
+from conftest import mark_boundary_dirichlet, random_mesh, saddle_solve
 
 
 def zero_problem():
@@ -145,46 +145,69 @@ class TestSolveProblem:
 
 class TestSolveReduced:
 
-    def _system(self, mesh, family="bdm1"):
+    def _inputs(self, mesh, family="bdm1"):
         topo = bf.build_edge_topology(mesh)
         coeffs = bf.barycentric_gradients(mesh)
         boundary = bf.classify_boundary(mesh, topo)
         problem = bf.get_problem("paper-example")
         centroids = mesh.nodes[mesh.elements].mean(axis=1)
-        mass = bf.assemble_mass(topo, coeffs,
-                                1.0 / problem.alpha(centroids), family)
-        system = bf.assemble_system(mass,
-                                    bf.assemble_divergence(topo, family))
+        inv_alpha = 1.0 / problem.alpha(centroids)
+        system = bf.assemble_system(
+            bf.assemble_mass(topo, coeffs, inv_alpha, family),
+            bf.assemble_divergence(topo, family))
         b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet,
                                topo.num_edges, family)
         b2 = bf.source_term(mesh, coeffs, problem.source)
         lifted = bf.neumann_lift(mesh, boundary, problem.neumann, system,
                                  b1, b2, family)
-        return system, lifted
+        blocks = bf.element_mass(topo, coeffs, inv_alpha, family)
+        return system, lifted, topo, blocks
 
     def test_residual_reported(self, paper_mesh):
-        system, lifted = self._system(paper_mesh)
-        sol = bf.solve_reduced(system, lifted, 16)
-        assert 0 <= sol.residual <= 1e-12
-        assert sol.solve_time >= 0.0
+        system, lifted, topo, blocks = self._inputs(paper_mesh)
+        free = lifted.free_dofs
+        for method in ("direct", "minres"):
+            sol = bf.solve_reduced(system, lifted, topo, blocks,
+                                   method=method)
+            full = np.concatenate([sol.sigma, sol.u])
+            expected = (np.linalg.norm((system @ full - lifted.load)[free])
+                        / np.linalg.norm(lifted.rhs[free]))
+            assert sol.residual == expected
+            assert 0 <= sol.residual <= 1e-10
+            assert sol.solve_time >= 0.0
 
     def test_lifted_values_kept(self, paper_mesh, paper_topo):
-        system, lifted = self._system(paper_mesh)
+        system, lifted, topo, blocks = self._inputs(paper_mesh)
         boundary = bf.classify_boundary(paper_mesh, paper_topo)
-        sol = bf.solve_reduced(system, lifted, 16)
         fixed = np.concatenate([boundary.ind_neumann,
                                 28 + boundary.ind_neumann])
-        assert np.array_equal(sol.sigma[fixed], lifted.sol[fixed])
+        for method in ("direct", "minres"):
+            sol = bf.solve_reduced(system, lifted, topo, blocks,
+                                   method=method)
+            assert np.array_equal(sol.sigma[fixed], lifted.sol[fixed])
 
     def test_tolerance_enforced(self, paper_mesh):
-        system, lifted = self._system(paper_mesh)
+        system, lifted, topo, blocks = self._inputs(paper_mesh)
         with pytest.raises(bf.SolverError, match="residual"):
-            bf.solve_reduced(system, lifted, 16, tol=1e-30)
+            bf.solve_reduced(system, lifted, topo, blocks, tol=1e-30)
 
     def test_diagonal_structure_check(self, paper_mesh):
-        system, lifted = self._system(paper_mesh)
-        with pytest.raises(bf.SolverError, match="diagonal"):
-            bf.solve_reduced(system, lifted, num_elements=17)
+        system, lifted, topo, blocks = self._inputs(paper_mesh)
+        system = system.copy()
+        k = lifted.free_dofs[0]  # a free flux unknown
+        system[k, k] = 0.0
+        for method in ("direct", "minres"):
+            with pytest.raises(bf.SolverError, match="diagonal"):
+                bf.solve_reduced(system, lifted, topo, blocks,
+                                 method=method)
+
+    def test_refinement_on_slivers(self):
+        # areas spread 470-fold: the hybridized elimination alone leaves
+        # a saddle residual of 2.1e-10, a refinement step 2e-14
+        mesh = random_mesh(seed=29)
+        sol = bf.solve_problem(mesh, bf.get_problem("patch-linear"),
+                               tol=1e-13)
+        assert sol.residual <= 1e-13
 
     def test_random_mesh_families(self):
         mesh = random_mesh(seed=19, n=25)
@@ -194,3 +217,46 @@ class TestSolveReduced:
             assert sol.residual <= 1e-10
             assert np.isfinite(sol.sigma).all()
             assert np.isfinite(sol.u).all()
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _check_against_saddle(mesh, problem, family):
+    sigma, u = saddle_solve(mesh, problem, family)
+    sol = bf.solve_problem(mesh, problem, family=family)
+    assert _max_rel(sol.sigma, sigma) <= 1e-10
+    assert _max_rel(sol.u, u) <= 1e-10
+
+
+def _upper_half_neumann(mesh):
+    return mark_boundary_dirichlet(mesh, lambda mid: mid[:, 1] > 0)
+
+
+class TestHybridizedMatchesSaddle:
+    """The hybridized direct solve against the whole saddle system
+    factored by SuperLU (``conftest.saddle_solve``)."""
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("markers", ["mixed", "all-dirichlet"])
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("mesh_name", sorted(bf.BUILTIN_MESHES))
+    @pytest.mark.parametrize("problem", sorted(bf.PROBLEMS))
+    def test_builtin(self, problem, mesh_name, level, markers, family):
+        mesh = bf.builtin_mesh(mesh_name)
+        for _ in range(level):
+            mesh = bf.uniform_refine(mesh)
+        if markers == "all-dirichlet":
+            mesh = mark_boundary_dirichlet(mesh)
+        _check_against_saddle(mesh, bf.get_problem(problem), family)
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("markers", ["mixed", "all-dirichlet"])
+    @pytest.mark.parametrize("seed", [3, 19, 29])
+    def test_random_mesh(self, seed, markers, family):
+        mesh = random_mesh(seed=seed)
+        if markers == "mixed":
+            mesh = _upper_half_neumann(mesh)
+        for problem in bf.PROBLEMS.values():
+            _check_against_saddle(mesh, problem, family)
