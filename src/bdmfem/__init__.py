@@ -9,7 +9,7 @@ edge tied into one, is available as an alternative.
 """
 
 from .assembly import (assemble_divergence, assemble_mass, assemble_system,
-                       element_divergence, element_mass, write_matrix_market)
+                       write_matrix_market)
 from .basis import (FAMILIES, OrientedEdgeBasis, divergence, eval_basis,
                     flux_dof_count, functions_per_edge, normal_trace,
                     resolve_orientation)

@@ -162,8 +162,12 @@ def solve_reduced(system, lifted, topo, blocks, family="bdm1",
     lifted : LiftedSystem
     topo : EdgeTopology
     blocks : (NT, k, k) float array
-        Element flux mass blocks (:func:`assembly.element_mass`), which
-        the direct path eliminates.
+        The element blocks of `system`'s B
+        (:func:`assembly.element_mass`, the array
+        :func:`assembly.assemble_mass` scattered).  The direct path
+        solves with them and reads `system` only for the residual, so
+        blocks of another B give a wrong solution or a residual failure;
+        MINRES does not read them.
 
     Raises
     ------
@@ -285,7 +289,8 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
             "element".format(problem.name))
 
     inv_alpha = 1.0 / alpha
-    mass = assemble_mass(topo, coeffs, inv_alpha, family)
+    blocks = element_mass(topo, coeffs, inv_alpha, family)
+    mass = assemble_mass(topo, coeffs, inv_alpha, family, blocks=blocks)
     div = assemble_divergence(topo, family)
     system = assemble_system(mass, div)
 
@@ -301,9 +306,7 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
         raise SolverError(
             "free unknown count {} does not match {}".format(
                 lifted.free_dofs.size, expected_free))
-    return solve_reduced(system, lifted, topo,
-                         element_mass(topo, coeffs, inv_alpha, family),
-                         family, method, tol)
+    return solve_reduced(system, lifted, topo, blocks, family, method, tol)
 
 
 def functions_fixed(boundary, family="bdm1"):
