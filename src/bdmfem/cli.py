@@ -72,9 +72,9 @@ def build_parser():
                        help="built-in problem to solve")
         p.add_argument("--family", default="bdm1", choices=FAMILIES,
                        help="flux element family (default bdm1)")
-        p.add_argument("--solver", default="direct",
-                       choices=("direct", "minres"),
-                       help="linear solver (default direct)")
+        p.add_argument("--solver", default="direct", choices=("direct",),
+                       help="linear solver; direct is the only one, the "
+                            "flag is kept for compatibility")
         p.add_argument("--tol", default=1e-10, type=_tolerance,
                        help="relative residual tolerance (default 1e-10)")
         p.add_argument("--out", help="write a CSV summary to this path")
@@ -105,9 +105,19 @@ def build_parser():
 
 
 def _load_mesh(spec):
+    """Read and validate a mesh, listing each violation on stderr; the
+    solvers' own geometry would otherwise meet it first."""
     if spec.startswith("builtin:"):
-        return builtin_mesh(spec[len("builtin:"):])
-    return read_mesh(spec)
+        mesh = builtin_mesh(spec[len("builtin:"):])
+    else:
+        mesh = read_mesh(spec)
+    violations = validate_mesh(mesh)
+    for message in violations:
+        print("invalid: {}".format(message), file=sys.stderr)
+    if violations:
+        raise MeshError("mesh failed validation with {} violation(s)".format(
+            len(violations)))
+    return mesh
 
 
 def _format_sci(x):
@@ -217,12 +227,6 @@ def cmd_converge(args):
 
 def cmd_inspect(args):
     mesh = _load_mesh(args.mesh)
-    violations = validate_mesh(mesh)
-    if violations:
-        for message in violations:
-            print("invalid: {}".format(message), file=sys.stderr)
-        raise MeshError("mesh failed validation with {} violation(s)".format(
-            len(violations)))
     topo = build_edge_topology(mesh)
     boundary = classify_boundary(mesh, topo)
     num_boundary = boundary.num_dirichlet + boundary.num_neumann

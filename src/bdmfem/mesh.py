@@ -17,6 +17,7 @@ __all__ = [
     "EdgeTopology",
     "BoundaryEdges",
     "build_edge_topology",
+    "check_topology",
     "classify_boundary",
     "validate_mesh",
     "signed_areas",
@@ -182,19 +183,21 @@ def _number_edges(mesh):
 def validate_mesh(mesh):
     """Check mesh invariants; return a list of violation messages.
 
-    An empty list means the mesh is valid: all vertex indices in range,
-    all elements counterclockwise with positive area, every vertex
-    referenced, markers in {0, 1, 2} and nonzero exactly on the edges
-    that lie on the domain boundary.
+    An empty list means the mesh is valid: all vertex coordinates
+    finite, all vertex indices in range, all elements counterclockwise
+    with positive area, every vertex referenced, markers in {0, 1, 2}
+    and nonzero exactly on the edges that lie on the domain boundary.
     """
     violations = []
     elems = mesh.elements
 
+    for v in np.flatnonzero(~np.isfinite(mesh.nodes).all(axis=1)):
+        violations.append("vertex {}: non-finite coordinates".format(v))
     out = (elems < 0) | (elems >= mesh.num_nodes)
     for t in np.flatnonzero(out.any(axis=1)):
         violations.append("element {}: vertex index out of range".format(t))
     if violations:
-        return violations  # remaining checks would index out of bounds
+        return violations  # areas would be NaN or index out of bounds
 
     areas = signed_areas(mesh)
     for t in np.flatnonzero(areas <= 0):
@@ -261,6 +264,37 @@ def build_edge_topology(mesh):
     return EdgeTopology(edges, elem_to_edge, sign_edge)
 
 
+def check_topology(mesh, topo):
+    """Refuse an edge topology that was not built for `mesh`.
+
+    Every local edge must map, through ``topo.elem_to_edge``, to the
+    mesh's own ascending vertex pair, with sign +1 exactly where the
+    element runs from the lower vertex index to the higher.
+
+    Raises
+    ------
+    MeshTopologyError
+        On another element count, vertex pair or sign.
+    """
+    if topo.elem_to_edge.shape != mesh.elements.shape:
+        raise MeshTopologyError(
+            "edge topology covers {} elements, the mesh has {}; was it "
+            "built for another mesh?".format(
+                topo.elem_to_edge.shape[0], mesh.num_elements))
+    start = mesh.elements[:, LOCAL_EDGES[:, 0]]
+    end = mesh.elements[:, LOCAL_EDGES[:, 1]]
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    pairs = topo.edges[topo.elem_to_edge]
+    bad = ((pairs[..., 0] != lo) | (pairs[..., 1] != hi)
+           | ((topo.sign_edge > 0) != (start < end)))
+    if bad.any():
+        t, i = np.argwhere(bad)[0]
+        raise MeshTopologyError(
+            "edge ({}, {}) is not in the edge topology at index {}; was "
+            "it built for another mesh?".format(
+                lo[t, i], hi[t, i], topo.elem_to_edge[t, i]))
+
+
 def classify_boundary(mesh, topo):
     """Split the marked boundary edges into Dirichlet and Neumann sets.
 
@@ -274,40 +308,24 @@ def classify_boundary(mesh, topo):
     MeshTopologyError
         If `topo` does not number the edges of this mesh.
     """
-    if topo.elem_to_edge.shape != mesh.elements.shape:
-        raise MeshTopologyError(
-            "edge topology covers {} elements, the mesh has {}; was it "
-            "built for another mesh?".format(
-                topo.elem_to_edge.shape[0], mesh.num_elements))
+    # a foreign topology is named as such before its adjacency is
+    # trusted to find interior edges
+    check_topology(mesh, topo)
     adjacency = np.bincount(topo.elem_to_edge.ravel(),
                             minlength=topo.num_edges)
-    start = mesh.elements[:, LOCAL_EDGES[:, 0]]
-    end = mesh.elements[:, LOCAL_EDGES[:, 1]]
 
     parts = {}
     for kind in (DIRICHLET, NEUMANN):
         t, i = np.nonzero(mesh.boundary_markers == kind)
         ind = topo.elem_to_edge[t, i]
         order = np.argsort(ind)
-        ind = ind[order]
-        a = start[t[order], i[order]]
-        b = end[t[order], i[order]]
-        sign = np.where(a < b, 1, -1).astype(np.int64)
-        rows = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1)
-        # a foreign topology is named as such before its adjacency is
-        # trusted to find interior edges
-        stale = np.flatnonzero((topo.edges[ind] != rows).any(axis=1))
-        if stale.size:
-            k = stale[0]
-            raise MeshTopologyError(
-                "boundary edge ({}, {}) is not in the edge topology at "
-                "index {}; was it built for another mesh?".format(
-                    *rows[k], ind[k]))
+        t, i, ind = t[order], i[order], ind[order]
+        rows = topo.edges[ind]
         shared = np.flatnonzero(adjacency[ind] != 1)
         if shared.size:
             raise MeshError("marker {} on interior edge ({}, {})".format(
                 kind, *rows[shared[0]]))
-        parts[kind] = (rows, sign, ind)
+        parts[kind] = (rows, topo.sign_edge[t, i], ind)
 
     return BoundaryEdges(*parts[DIRICHLET], *parts[NEUMANN])
 

@@ -28,7 +28,7 @@ from .basis import (flux_columns, flux_dof_count, flux_functions,
                     resolve_orientation)
 from .geometry import (barycentric_gradients, check_coefficients,
                        edge_geometry)
-from .mesh import build_edge_topology, uniform_refine
+from .mesh import build_edge_topology, check_topology, uniform_refine
 from .solve import solve_problem
 
 __all__ = [
@@ -138,8 +138,7 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
     Raises
     ------
     MeshTopologyError
-        If `coeffs` were built for another mesh, or `topo` for one with
-        another number of elements.
+        If `topo` or `coeffs` were built for another mesh.
     """
     if problem.exact_sigma is None or problem.exact_u is None:
         raise ValueError(
@@ -153,6 +152,7 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
             "method".format(problem.name))
     if method not in ("expansion", "direct"):
         raise ValueError("unknown error method {!r}".format(method))
+    check_topology(mesh, topo)
     check_coefficients(mesh, coeffs)
 
     oriented = resolve_orientation(topo, coeffs)

@@ -1,4 +1,4 @@
-"""Hybridized direct solve, MINRES, and the end-to-end `solve_problem`.
+"""Hybridized direct solve and the end-to-end `solve_problem`.
 
 The assembled system [B C'; C 0] is symmetric indefinite with an
 exactly zero scalar-scalar block.  The direct solve never factors it.
@@ -28,12 +28,9 @@ elements round-off can leave its saddle residual above the tolerance,
 so up to two refinement steps reuse the factor.  The tests keep the
 whole saddle system, factored by SuperLU, as the reference.
 
-MINRES works on the saddle system with the Neumann unknowns removed,
-extracted explicitly, with a diagonal preconditioner (reciprocal
-flux-mass diagonal, identity on the scalar block).  Either way the
-reported residual is that of the saddle system on the free unknowns,
-relative to the lifted right-hand side, and it is checked against the
-requested tolerance.
+The reported residual is that of the saddle system on the free
+unknowns, relative to the lifted right-hand side, and it is checked
+against the requested tolerance.
 """
 
 import time
@@ -68,7 +65,7 @@ class MixedSolution:
     residual : float
         Relative residual of the saddle system on the free unknowns.
     method : str
-        "direct" or "minres".
+        Always "direct".
     solve_time : float
         Wall-clock seconds spent in :func:`solve_reduced`.
     num_free : int
@@ -151,8 +148,7 @@ def _hybridize(topo, blocks, family, free):
     return solve
 
 
-def solve_reduced(system, lifted, topo, blocks, family="bdm1",
-                  method="direct", tol=1e-10):
+def solve_reduced(system, lifted, topo, blocks, family="bdm1", tol=1e-10):
     """Solve for the free unknowns and assemble the full solution.
 
     Parameters
@@ -164,21 +160,18 @@ def solve_reduced(system, lifted, topo, blocks, family="bdm1",
     blocks : (NT, k, k) float array
         The element blocks of `system`'s B
         (:func:`assembly.element_mass`, the array
-        :func:`assembly.assemble_mass` scattered).  The direct path
-        solves with them and reads `system` only for the residual, so
-        blocks of another B give a wrong solution or a residual failure;
-        MINRES does not read them.
+        :func:`assembly.assemble_mass` scattered).  The solve uses them
+        and reads `system` only for the residual, so blocks of another
+        B give a wrong solution or a residual failure.
 
     Raises
     ------
     SolverError
-        On a singular factorization, a non-converged iteration, or a
-        relative residual above `tol`.
+        On a singular factorization or a relative residual above `tol`.
     """
     start = time.perf_counter()
     free = lifted.free_dofs
     num_elements = topo.elem_to_edge.shape[0]
-    rhs = lifted.rhs[free]
 
     zero_diag = int(np.count_nonzero(system.diagonal()[free] == 0))
     if zero_diag != num_elements:
@@ -193,42 +186,17 @@ def solve_reduced(system, lifted, topo, blocks, family="bdm1",
         sol[free] = x
         return lifted.load - system @ sol
 
-    norm_rhs = np.linalg.norm(rhs) or 1.0  # absolute for a zero load
-    if method == "direct":
-        solve = _hybridize(topo, blocks, family, free)
-        x = solve(lifted.load, lifted.sol)[free]
-        # on badly shaped elements the elimination alone can miss the
-        # tolerance; refine against the saddle residual with the factor
-        for _ in range(2):
-            r = defect(x)
-            if np.linalg.norm(r[free]) <= tol * norm_rhs:
-                break
-            x = x + solve(r, np.zeros_like(r))[free]
-    elif method == "minres":
-        reduced = system[free][:, free].tocsc()
-        # reciprocal flux-mass diagonal; the scalar block (zero diagonal)
-        # is preconditioned by the identity
-        scale = reduced.diagonal()
-        scale = np.where(scale > 0, scale, 1.0)
-        precond = spla.LinearOperator(reduced.shape,
-                                      matvec=lambda r: r / scale)
-        # minres tests the preconditioned residual, which can sit above
-        # the true relative residual; tighten and warm-restart until the
-        # honest check below would pass
-        x = None
-        inner = tol / 100
-        for _ in range(3):
-            x, info = spla.minres(reduced, rhs, x0=x, M=precond,
-                                  rtol=inner,
-                                  maxiter=20 * reduced.shape[0])
-            if info != 0:
-                raise SolverError(
-                    "minres did not converge (info={})".format(info))
-            if np.linalg.norm(reduced @ x - rhs) <= tol * norm_rhs:
-                break
-            inner /= 100
-    else:
-        raise ValueError("unknown solver method {!r}".format(method))
+    # relative to the lifted load, absolute for a zero one
+    norm_rhs = np.linalg.norm(lifted.rhs[free]) or 1.0
+    solve = _hybridize(topo, blocks, family, free)
+    x = solve(lifted.load, lifted.sol)[free]
+    # on badly shaped elements the elimination alone can miss the
+    # tolerance; refine against the saddle residual with the factor
+    for _ in range(2):
+        r = defect(x)
+        if np.linalg.norm(r[free]) <= tol * norm_rhs:
+            break
+        x = x + solve(r, np.zeros_like(r))[free]
 
     if not np.isfinite(x).all():
         raise SolverError("solution contains non-finite entries")
@@ -242,7 +210,7 @@ def solve_reduced(system, lifted, topo, blocks, family="bdm1",
     sol[free] = x
     nf = sol.size - num_elements
     elapsed = time.perf_counter() - start
-    return MixedSolution(sol[:nf], sol[nf:], family, residual, method,
+    return MixedSolution(sol[:nf], sol[nf:], family, residual, "direct",
                          elapsed, free.size)
 
 
@@ -256,7 +224,8 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     problem : ProblemDefinition
         Supplies alpha, the source and the boundary data.
     family : {"bdm1", "rt0"}
-    method : {"direct", "minres"}
+    method : {"direct"}
+        The one solver; the keyword is kept for existing callers.
     topo, coeffs : optional
         Precomputed edge topology and barycentric coefficients; both
         are derived from the mesh when omitted.
@@ -267,9 +236,13 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
 
     Raises
     ------
+    ValueError
+        If `method` is not "direct".
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
     """
+    if method != "direct":
+        raise ValueError("unknown solver method {!r}".format(method))
     violations = validate_mesh(mesh)
     if violations:
         raise MeshError("invalid mesh: " + "; ".join(violations))
@@ -306,7 +279,7 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
         raise SolverError(
             "free unknown count {} does not match {}".format(
                 lifted.free_dofs.size, expected_free))
-    return solve_reduced(system, lifted, topo, blocks, family, method, tol)
+    return solve_reduced(system, lifted, topo, blocks, family, tol)
 
 
 def functions_fixed(boundary, family="bdm1"):

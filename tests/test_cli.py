@@ -58,6 +58,20 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "invalid" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["inspect", "solve", "converge"])
+    def test_non_finite_vertex(self, tmp_path, capsys, command, value):
+        path = tmp_path / "bad.mesh"
+        bf.write_mesh(bf.builtin_mesh("paper"), path)
+        lines = path.read_text().splitlines()
+        lines[1 + 3] = "{} 0.5".format(value)  # vertex 3 (0-based)
+        path.write_text("\n".join(lines) + "\n")
+        args = [command, "--mesh", str(path)]
+        if command != "inspect":
+            args += ["--problem", "paper-example"]
+        assert main(args) == 3
+        assert "vertex 3: non-finite coordinates" in capsys.readouterr().err
+
 
 class TestSolve:
 
@@ -94,12 +108,19 @@ class TestSolve:
         assert "problem:   paper-example (rt0)" in out
         assert "unknowns:  44 (42 free)" in out
 
-    def test_minres_solver(self, capsys):
+    def test_solver_direct_accepted(self, capsys):
         code = main(["solve", "--mesh", "builtin:paper",
-                     "--problem", "paper-example", "--solver", "minres",
-                     "--tol", "1e-9"])
+                     "--problem", "paper-example", "--solver", "direct"])
         assert code == 0
-        assert "solver:    minres" in capsys.readouterr().out
+        assert "solver:    direct" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    def test_solver_minres_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--mesh", "builtin:paper",
+                  "--problem", "paper-example", "--solver", "minres"])
+        assert err.value.code == 2
+        assert "invalid choice: 'minres'" in capsys.readouterr().err
 
     def test_dump_solution(self, tmp_path, capsys):
         path = tmp_path / "coeffs.csv"

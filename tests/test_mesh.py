@@ -88,6 +88,14 @@ class TestValidation:
         mesh = bf.Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 7]])
         assert any("out of range" in v for v in bf.validate_mesh(mesh))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coordinates(self, paper_mesh, value):
+        nodes = paper_mesh.nodes.copy()
+        nodes[3, 0] = value
+        mesh = bf.Mesh(nodes, paper_mesh.elements,
+                       paper_mesh.boundary_markers)
+        assert bf.validate_mesh(mesh) == ["vertex 3: non-finite coordinates"]
+
     def test_clockwise_element(self):
         mesh = bf.Mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], [[1, 1, 1]])
         assert any("area" in v for v in bf.validate_mesh(mesh))
@@ -180,14 +188,16 @@ class TestBoundary:
     @pytest.mark.parametrize("call", ["classify", "solve-topo",
                                       "solve-coeffs", "errors",
                                       "solve-coeffs-same-size",
-                                      "errors-coeffs-same-size"])
+                                      "errors-coeffs-same-size",
+                                      "errors-topo-same-size"])
     def test_data_of_coarser_mesh_rejected(self, paper_mesh, paper_topo,
                                            paper_coeffs, call):
         # topology or coefficients of the base mesh passed with its
         # refinement: fewer elements, so blind indexing would fail.
-        # The same-size cases pass the coefficients of the refinement
-        # with a relabelled copy of it: same count, same areas, other
-        # vertex order, and once solved u 11% off without an error
+        # The same-size cases pass the coefficients or topology of the
+        # refinement with a relabelled copy of it: same count, same
+        # areas, other vertex order; unchecked, the coefficients put u
+        # 11% off and the topology err_sigma 300-fold, without an error
         fine = bf.uniform_refine(paper_mesh)
         problem = bf.get_problem("paper-example")
         solution = bf.solve_problem(fine, problem)
@@ -206,6 +216,10 @@ class TestBoundary:
             "errors-coeffs-same-size": lambda: bf.compute_errors(
                 other, bf.build_edge_topology(other), fine_coeffs,
                 bf.solve_problem(other, problem), problem),
+            "errors-topo-same-size": lambda: bf.compute_errors(
+                other, bf.build_edge_topology(fine),
+                bf.barycentric_gradients(other),
+                bf.solve_problem(other, problem), problem),
         }
         with pytest.raises(bf.MeshTopologyError, match="another mesh"):
             calls[call]()
@@ -217,6 +231,12 @@ class TestBoundary:
         with pytest.raises(bf.MeshTopologyError, match="another mesh"):
             bf.classify_boundary(relabel(fine, 11),
                                  bf.build_edge_topology(fine))
+
+    def test_flipped_signs_rejected(self, paper_mesh, paper_topo):
+        flipped = bf.EdgeTopology(paper_topo.edges, paper_topo.elem_to_edge,
+                                  -paper_topo.sign_edge)
+        with pytest.raises(bf.MeshTopologyError, match="another mesh"):
+            bf.classify_boundary(paper_mesh, flipped)
 
     def test_interior_marker_rejected(self, paper_mesh, paper_topo):
         markers = paper_mesh.boundary_markers.copy()
