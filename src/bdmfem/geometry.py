@@ -89,15 +89,17 @@ def barycentric_gradients(mesh):
     Raises
     ------
     DegenerateElementError
-        If any element has non-positive area.
+        If any element's area is not positive and finite (a
+        non-finite vertex gives a NaN or infinite area).
     """
-    a, b = _gradient_coefficients(mesh)
-    area = 0.5 * (a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1])
-    bad = np.flatnonzero(area <= 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a, b = _gradient_coefficients(mesh)
+        area = 0.5 * (a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1])
+    bad = np.flatnonzero(~(np.isfinite(area) & (area > 0)))
     if bad.size:
         raise DegenerateElementError(
-            "element {}: signed area {:g} is not positive".format(
-                bad[0], area[bad[0]]))
+            "element {}: signed area {:g} is not positive and "
+            "finite".format(bad[0], area[bad[0]]))
     return BarycentricCoefficients(a, b, area)
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "check_topology",
     "classify_boundary",
     "validate_mesh",
+    "require_valid",
     "signed_areas",
     "uniform_refine",
     "read_mesh",
@@ -234,6 +235,13 @@ def validate_mesh(mesh):
                 edges[e, 0], edges[e, 1], counts[e]))
 
     return violations
+
+
+def require_valid(mesh):
+    """Raise :class:`MeshError` listing the violations of an invalid mesh."""
+    violations = validate_mesh(mesh)
+    if violations:
+        raise MeshError("invalid mesh: " + "; ".join(violations))
 
 
 def build_edge_topology(mesh):

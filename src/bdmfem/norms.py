@@ -28,7 +28,8 @@ from .basis import (flux_columns, flux_dof_count, flux_functions,
                     resolve_orientation)
 from .geometry import (barycentric_gradients, check_coefficients,
                        edge_geometry)
-from .mesh import build_edge_topology, check_topology, uniform_refine
+from .mesh import (build_edge_topology, check_topology, require_valid,
+                   uniform_refine)
 from .solve import solve_problem
 
 __all__ = [
@@ -235,10 +236,13 @@ def convergence_study(problem, base_mesh, levels, family="bdm1",
     """Solve on the base mesh and `levels` - 1 uniform refinements.
 
     The first row is assigned h equal to the longest edge of the base
-    mesh; every refinement halves h.  Requires `levels` >= 1.
+    mesh; every refinement halves h.  Requires `levels` >= 1.  An
+    invalid base mesh raises :class:`MeshError` before any geometry is
+    computed.
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
+    require_valid(base_mesh)
     report = ErrorReport(problem=problem.name, family=family)
     mesh = base_mesh
     h = None

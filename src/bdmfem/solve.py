@@ -18,8 +18,11 @@ Gopalakrishnan 2004):
 * what is left is S = sum_K E_K H_K E_K' in the multipliers, with H_K
   the flux block of the inverted element block.  S has the sparsity of
   B and is symmetric positive definite once some edge is Dirichlet;
-  SuperLU factors it with a symmetric minimum-degree ordering and no
-  pivoting;
+  SuperLU factors it in a nested-dissection order taken from the mesh
+  (George 1973; Lipton, Rose & Tarjan 1979) with no pivoting: the
+  element centroids are bisected at the median down to leaves of four
+  elements, and each multiplier is numbered at the tree node where its
+  elements part, leaves first and the top cut last;
 * flux and scalar are recovered element by element, and each flux
   column takes the mean of its sides' values.
 
@@ -44,7 +47,7 @@ from .assembly import (assemble_divergence, assemble_mass, assemble_system,
 from .basis import flux_dof_count, functions_per_edge, local_columns
 from .bc import dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients, check_coefficients
-from .mesh import MeshError, build_edge_topology, classify_boundary, validate_mesh
+from .mesh import build_edge_topology, classify_boundary, require_valid
 
 __all__ = ["SolverError", "MixedSolution", "solve_reduced", "solve_problem"]
 
@@ -87,7 +90,93 @@ class MixedSolution:
         return self.sigma.size + self.u.size
 
 
-def _hybridize(topo, blocks, family, free):
+# most elements in a leaf of the dissection tree
+_LEAF_SIZE = 4
+
+
+def _bisect(centroids):
+    """Recursive median bisection of the elements by their centroids.
+
+    Every part with more than _LEAF_SIZE elements is cut at its median
+    along its wider axis, all parts of a level at once.  Coordinate ties
+    keep the previous level's order, which for distinct centroids is
+    the order by the other coordinate, so the element labels never
+    decide a cut.  Both orders are kept per part (a k-d tree build over
+    presorted lists), so no level sorts.
+
+    Returns ``(pos, code, depth)``: each element's position in the leaf
+    order and its path from the root as `depth` bits, 1 for the upper
+    half of a cut (0 below a leaf).
+    """
+    nt = centroids.shape[0]
+    x, y = centroids[:, 0], centroids[:, 1]
+    lists = [np.lexsort((y, x)), np.lexsort((x, y))]
+    code = np.zeros(nt, dtype=np.int64)
+    starts = np.zeros(1, dtype=np.int64)
+    index = np.arange(nt)
+    depth = 0
+    while True:
+        sizes = np.diff(starts, append=nt)
+        split = sizes > _LEAF_SIZE
+        if not split.any():
+            break
+        by_x, by_y = lists
+        last = starts + sizes - 1
+        along_y = (y[by_y[last]] - y[by_y[starts]]
+                   > x[by_x[last]] - x[by_x[starts]])
+        part = np.repeat(np.arange(starts.size), sizes)
+        inner = index - starts[part]
+        lower = np.where(split, sizes // 2, sizes)
+        upper = np.zeros(nt, dtype=bool)
+        upper[np.where(along_y[part], by_y, by_x)[inner >= lower[part]]] = True
+        # stable partition of both lists: lower half first in each part
+        for i, order in enumerate(lists):
+            up = upper[order]
+            ups_before = np.cumsum(up) - up
+            ups_before -= ups_before[starts][part]
+            moved = np.empty_like(order)
+            moved[starts[part] + np.where(up, lower[part] + ups_before,
+                                          inner - ups_before)] = order
+            lists[i] = moved
+        code = 2 * code + upper
+        starts = np.sort(np.concatenate([starts, (starts + lower)[split]]))
+        depth += 1
+    pos = np.empty(nt, dtype=np.int64)
+    pos[lists[0]] = index
+    return pos, code, depth
+
+
+def _dissection_rank(centroids, columns, signs, joined):
+    """Nested-dissection number of every multiplier (George 1973).
+
+    A multiplier sits at the node of the bisection tree where its
+    elements' leaves first separate, or in its element's leaf if it has
+    one side.  Nodes are numbered in post order, leaves first and the
+    top cut last; inside a node the multipliers follow their elements'
+    leaf order.
+    """
+    pos, code, depth = _bisect(centroids)
+    # the plus and minus side of every column; signs are opposite on
+    # the two sides of an interior one
+    plus = np.full(joined.size, -1)
+    minus = np.full(joined.size, -1)
+    for side, mask in ((plus, signs > 0), (minus, signs < 0)):
+        element, slot = np.nonzero(mask)
+        side[columns[element, slot]] = element
+    plus, minus = plus[joined], minus[joined]
+    plus = np.where(plus < 0, minus, plus)
+    minus = np.where(minus < 0, plus, minus)
+    # the path bits below the separating node, set to ones: numbering
+    # nodes by that and then by height is post order
+    below = np.frexp(code[plus] ^ code[minus])[1].astype(np.int64)
+    node = (code[plus] | ((1 << below) - 1)) * (depth + 1) + below
+    order = np.lexsort((np.minimum(pos[plus], pos[minus]), node))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank
+
+
+def _hybridize(topo, blocks, family, free, centroids):
     """Eliminate the element blocks and factor the multiplier system
     (see the module docstring).
 
@@ -106,13 +195,15 @@ def _hybridize(topo, blocks, family, free):
     inv = np.linalg.inv(local)
 
     # a multiplier on every column shared by two sides or fixed by the
-    # lift; the others (Dirichlet) point one past the last multiplier,
-    # whose value is held at zero
+    # lift, numbered by nested dissection; the others (Dirichlet) point
+    # one past the last multiplier, whose value is held at zero
     fixed = np.ones(n + nt, dtype=bool)
     fixed[free] = False
     joined = (sides == 2) | fixed[:n]
     count = int(joined.sum())
-    mult = np.where(joined, np.cumsum(joined) - 1, count)[columns]
+    mult = np.full(n, count)
+    mult[joined] = _dissection_rank(centroids, columns, signs, joined)
+    mult = mult[columns]
     jump = np.where(mult < count, signs, 0)
 
     # S = sum_K E_K H_K E_K' with H_K the flux block of the inverse;
@@ -123,7 +214,7 @@ def _hybridize(topo, blocks, family, free):
     schur = sp.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                           shape=(count + 1, count + 1))[:count, :count]
     try:
-        lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(schur, permc_spec="NATURAL",
                        diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals exact singularity
@@ -148,7 +239,8 @@ def _hybridize(topo, blocks, family, free):
     return solve
 
 
-def solve_reduced(system, lifted, topo, blocks, family="bdm1", tol=1e-10):
+def solve_reduced(system, lifted, topo, blocks, centroids, family="bdm1",
+                  tol=1e-10):
     """Solve for the free unknowns and assemble the full solution.
 
     Parameters
@@ -163,6 +255,10 @@ def solve_reduced(system, lifted, topo, blocks, family="bdm1", tol=1e-10):
         :func:`assembly.assemble_mass` scattered).  The solve uses them
         and reads `system` only for the residual, so blocks of another
         B give a wrong solution or a residual failure.
+    centroids : (NT, 2) float array
+        Element centroids.  They order the multipliers for the
+        factorization (nested dissection) and change the solution by
+        round-off at most.
 
     Raises
     ------
@@ -188,7 +284,7 @@ def solve_reduced(system, lifted, topo, blocks, family="bdm1", tol=1e-10):
 
     # relative to the lifted load, absolute for a zero one
     norm_rhs = np.linalg.norm(lifted.rhs[free]) or 1.0
-    solve = _hybridize(topo, blocks, family, free)
+    solve = _hybridize(topo, blocks, family, free, centroids)
     x = solve(lifted.load, lifted.sol)[free]
     # on badly shaped elements the elimination alone can miss the
     # tolerance; refine against the saddle residual with the factor
@@ -243,9 +339,7 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     """
     if method != "direct":
         raise ValueError("unknown solver method {!r}".format(method))
-    violations = validate_mesh(mesh)
-    if violations:
-        raise MeshError("invalid mesh: " + "; ".join(violations))
+    require_valid(mesh)
     if topo is None:
         topo = build_edge_topology(mesh)
     if coeffs is None:
@@ -279,7 +373,8 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
         raise SolverError(
             "free unknown count {} does not match {}".format(
                 lifted.free_dofs.size, expected_free))
-    return solve_reduced(system, lifted, topo, blocks, family, tol)
+    return solve_reduced(system, lifted, topo, blocks, centroids, family,
+                         tol)
 
 
 def functions_fixed(boundary, family="bdm1"):

@@ -48,6 +48,17 @@ def test_degenerate_element_rejected():
         bf.barycentric_gradients(mesh)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_vertex_rejected(paper_mesh, value):
+    # a NaN area fails no `<= 0` test; inf - inf must not warn either
+    # (pytest turns warnings into errors)
+    nodes = paper_mesh.nodes.copy()
+    nodes[3, 0] = value
+    mesh = bf.Mesh(nodes, paper_mesh.elements, paper_mesh.boundary_markers)
+    with pytest.raises(bf.DegenerateElementError, match="finite"):
+        bf.barycentric_gradients(mesh)
+
+
 def test_edge_geometry_reference(paper_mesh, paper_topo):
     geom = bf.edge_geometry(paper_mesh, paper_topo)
     # first global edge is (-1,1)->(0,1): length 1, tangent +x,

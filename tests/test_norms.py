@@ -335,6 +335,22 @@ class TestConvergenceStudy:
             bf.convergence_study(bf.get_problem("paper-example"),
                                  paper_mesh, levels=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_base_mesh(self, paper_mesh, value, monkeypatch):
+        # refused by validation before any geometry is computed (for
+        # inf the geometry would warn first)
+        nodes = paper_mesh.nodes.copy()
+        nodes[3, 0] = value
+        mesh = bf.Mesh(nodes, paper_mesh.elements,
+                       paper_mesh.boundary_markers)
+        calls = []
+        monkeypatch.setattr(bf.norms, "barycentric_gradients",
+                            lambda m: calls.append(m))
+        with pytest.raises(bf.MeshError, match="vertex 3: non-finite"):
+            bf.convergence_study(bf.get_problem("paper-example"), mesh,
+                                 levels=2)
+        assert calls == []
+
 
 def _edges_for(num_elements):
     # edge count of the uniformly refined reference meshes:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bdmfem as bf
-from conftest import mark_boundary_dirichlet, random_mesh, saddle_solve
+from conftest import (mark_boundary_dirichlet, random_mesh, relabel,
+                      saddle_solve)
 
 
 def zero_problem():
@@ -157,12 +158,12 @@ class TestSolveReduced:
         b2 = bf.source_term(mesh, coeffs, problem.source)
         lifted = bf.neumann_lift(mesh, boundary, problem.neumann, system,
                                  b1, b2, family)
-        return system, lifted, topo, blocks
+        return system, lifted, topo, blocks, centroids
 
     def test_residual_reported(self, paper_mesh):
-        system, lifted, topo, blocks = self._inputs(paper_mesh)
+        system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         free = lifted.free_dofs
-        sol = bf.solve_reduced(system, lifted, topo, blocks)
+        sol = bf.solve_reduced(system, lifted, topo, blocks, centroids)
         full = np.concatenate([sol.sigma, sol.u])
         expected = (np.linalg.norm((system @ full - lifted.load)[free])
                     / np.linalg.norm(lifted.rhs[free]))
@@ -171,25 +172,26 @@ class TestSolveReduced:
         assert sol.solve_time >= 0.0
 
     def test_lifted_values_kept(self, paper_mesh, paper_topo):
-        system, lifted, topo, blocks = self._inputs(paper_mesh)
+        system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         boundary = bf.classify_boundary(paper_mesh, paper_topo)
         fixed = np.concatenate([boundary.ind_neumann,
                                 28 + boundary.ind_neumann])
-        sol = bf.solve_reduced(system, lifted, topo, blocks)
+        sol = bf.solve_reduced(system, lifted, topo, blocks, centroids)
         assert np.array_equal(sol.sigma[fixed], lifted.sol[fixed])
 
     def test_tolerance_enforced(self, paper_mesh):
-        system, lifted, topo, blocks = self._inputs(paper_mesh)
+        system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         with pytest.raises(bf.SolverError, match="residual"):
-            bf.solve_reduced(system, lifted, topo, blocks, tol=1e-30)
+            bf.solve_reduced(system, lifted, topo, blocks, centroids,
+                             tol=1e-30)
 
     def test_diagonal_structure_check(self, paper_mesh):
-        system, lifted, topo, blocks = self._inputs(paper_mesh)
+        system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         system = system.copy()
         k = lifted.free_dofs[0]  # a free flux unknown
         system[k, k] = 0.0
         with pytest.raises(bf.SolverError, match="diagonal"):
-            bf.solve_reduced(system, lifted, topo, blocks)
+            bf.solve_reduced(system, lifted, topo, blocks, centroids)
 
     def test_refinement_on_slivers(self):
         # areas spread 470-fold: the hybridized elimination alone leaves
@@ -198,6 +200,29 @@ class TestSolveReduced:
         sol = bf.solve_problem(mesh, bf.get_problem("patch-linear"),
                                tol=1e-13)
         assert sol.residual <= 1e-13
+
+    def test_fill_independent_of_labels(self, monkeypatch):
+        # the multiplier order comes from the geometry, so relabelling
+        # the mesh leaves the factor's fill unchanged up to ties broken
+        # by round-off (2e-5 seen here; a minimum-degree order spread
+        # 0.23% on these seeds and 6.7% one level finer)
+        nnz = []
+        splu = bf.solve.spla.splu
+
+        def counted(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            nnz.append(lu.nnz)
+            return lu
+
+        monkeypatch.setattr(bf.solve.spla, "splu", counted)
+        mesh = bf.builtin_mesh("paper")
+        for _ in range(4):
+            mesh = bf.uniform_refine(mesh)
+        for seed in (3, 5, 9):
+            bf.solve_problem(relabel(mesh, seed),
+                             bf.get_problem("paper-example"))
+        assert len(nnz) == 3
+        assert max(nnz) - min(nnz) < 1e-3 * min(nnz)
 
     def test_random_mesh_families(self):
         mesh = random_mesh(seed=19, n=25)
@@ -224,6 +249,19 @@ def _upper_half_neumann(mesh):
     return mark_boundary_dirichlet(mesh, lambda mid: mid[:, 1] > 0)
 
 
+def _strip(cells, height):
+    """The rectangle (-1, 1) x (0, height) as one row of `cells`
+    cells, each cut into two triangles."""
+    x = np.linspace(-1.0, 1.0, cells + 1)
+    nodes = np.concatenate([np.column_stack([x, np.zeros_like(x)]),
+                            np.column_stack([x, np.full_like(x, height)])])
+    lo = np.arange(cells)
+    hi = lo + cells + 1
+    elements = np.concatenate([np.column_stack([lo, lo + 1, hi + 1]),
+                               np.column_stack([lo, hi + 1, hi])])
+    return bf.Mesh(nodes, elements)
+
+
 class TestHybridizedMatchesSaddle:
     """The hybridized direct solve against the whole saddle system
     factored by SuperLU (``conftest.saddle_solve``)."""
@@ -240,6 +278,29 @@ class TestHybridizedMatchesSaddle:
         if markers == "all-dirichlet":
             mesh = mark_boundary_dirichlet(mesh)
         _check_against_saddle(mesh, bf.get_problem(problem), family)
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    def test_deep_tree(self, family):
+        # paper level 4: 4,096 elements, ten levels of cuts, the
+        # built-in mixed markers
+        mesh = bf.builtin_mesh("paper")
+        for _ in range(4):
+            mesh = bf.uniform_refine(mesh)
+        _check_against_saddle(mesh, bf.get_problem("paper-example"), family)
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("markers", ["mixed", "all-dirichlet"])
+    @pytest.mark.parametrize("cells,height", [(1, 2.0), (32, 1e-2)],
+                             ids=["two-triangles", "thin-strip"])
+    def test_small_and_thin(self, cells, height, markers, family):
+        # fewer elements than one leaf, and a strip 200 times longer
+        # than wide, which is only ever cut along its length (any
+        # height below 0.1 gives the same cuts)
+        mesh = mark_boundary_dirichlet(_strip(cells, height))
+        if markers == "mixed":
+            mesh = _upper_half_neumann(mesh)
+        for problem in bf.PROBLEMS.values():
+            _check_against_saddle(mesh, problem, family)
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("markers", ["mixed", "all-dirichlet"])
