@@ -77,14 +77,8 @@ def element_divergence(topo, family="bdm1"):
     return -signs / functions_per_edge(family)
 
 
-def assemble_mass(topo, coeffs, inv_alpha, family="bdm1", blocks=None):
+def assemble_mass(topo, coeffs, inv_alpha, family="bdm1"):
     """Assemble the weighted flux mass matrix B from :func:`element_mass`.
-
-    Parameters
-    ----------
-    blocks : (NT, k, k) float array, optional
-        ``element_mass(topo, coeffs, inv_alpha, family)``, for a caller
-        that needs the element blocks too; computed when omitted.
 
     Returns
     -------
@@ -93,8 +87,7 @@ def assemble_mass(topo, coeffs, inv_alpha, family="bdm1", blocks=None):
         function 2 at row NE + j — or (NE, NE) for "rt0".
     """
     columns, _ = local_columns(family, topo)
-    if blocks is None:
-        blocks = element_mass(topo, coeffs, inv_alpha, family)
+    blocks = element_mass(topo, coeffs, inv_alpha, family)
     rows = np.broadcast_to(columns[:, :, None], blocks.shape)
     cols = np.broadcast_to(columns[:, None, :], blocks.shape)
     n = flux_dof_count(family, topo.num_edges)

@@ -114,7 +114,9 @@ def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
     Returns a :class:`LiftedSystem` whose ``sol`` holds the lifted
     coefficients (zeros elsewhere), whose ``rhs`` is
     ``load`` - system @ sol with ``load`` = [b1; b2], and whose
-    ``free_dofs`` excludes the Neumann flux unknowns.
+    ``free_dofs`` excludes the Neumann flux unknowns.  `system` is
+    [B C'; C 0] as anything with ``shape`` and ``@``: an assembled
+    matrix or the solve's operator on the element blocks.
     """
     ndof = system.shape[0]
     num_edges = len(b1) // functions_per_edge(family)

@@ -140,6 +140,8 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
     ------
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
+    ValueError
+        If `solution` does not have this mesh's number of unknowns.
     """
     if problem.exact_sigma is None or problem.exact_u is None:
         raise ValueError(
@@ -155,6 +157,12 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
         raise ValueError("unknown error method {!r}".format(method))
     check_topology(mesh, topo)
     check_coefficients(mesh, coeffs)
+    counts = (flux_dof_count(solution.family, topo.num_edges),
+              mesh.num_elements)
+    if (solution.sigma.size, solution.u.size) != counts:
+        raise ValueError("solution has {} flux and {} scalar values, this "
+                         "mesh needs {} and {}".format(
+                             solution.sigma.size, solution.u.size, *counts))
 
     oriented = resolve_orientation(topo, coeffs)
     area = coeffs.area

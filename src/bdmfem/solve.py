@@ -28,8 +28,11 @@ Gopalakrishnan 2004):
 
 In exact arithmetic this is the saddle solution.  On badly shaped
 elements round-off can leave its saddle residual above the tolerance,
-so up to two refinement steps reuse the factor.  The tests keep the
-whole saddle system, factored by SuperLU, as the reference.
+so up to two refinement steps reuse the factor.  No global matrix is
+assembled: the Neumann lift, the refinement and the residual apply
+[B C'; C 0] from the same element blocks (:func:`_saddle_operator`).
+The tests keep the assembled saddle system, factored by SuperLU, as
+the reference.
 
 The reported residual is that of the saddle system on the free
 unknowns, relative to the lifted right-hand side, and it is checked
@@ -42,8 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (assemble_divergence, assemble_mass, assemble_system,
-                       element_divergence, element_mass)
+from .assembly import element_divergence, element_mass
 from .basis import flux_dof_count, functions_per_edge, local_columns
 from .bc import dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients, check_coefficients
@@ -193,6 +195,7 @@ def _hybridize(topo, blocks, family, free, centroids):
     local[:, :k, :k] = blocks
     local[:, k, :k] = local[:, :k, k] = element_divergence(topo, family)
     inv = np.linalg.inv(local)
+    del local
 
     # a multiplier on every column shared by two sides or fixed by the
     # lift, numbered by nested dissection; the others (Dirichlet) point
@@ -208,11 +211,12 @@ def _hybridize(topo, blocks, family, free, centroids):
 
     # S = sum_K E_K H_K E_K' with H_K the flux block of the inverse;
     # the zero row and column of the placeholder are cut off
-    vals = jump[:, :, None] * inv[:, :k, :k] * jump[:, None, :]
-    rows = np.broadcast_to(mult[:, :, None], vals.shape)
-    cols = np.broadcast_to(mult[:, None, :], vals.shape)
-    schur = sp.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                          shape=(count + 1, count + 1))[:count, :count]
+    rows = np.broadcast_to(mult[:, :, None], (nt, k, k))
+    cols = np.broadcast_to(mult[:, None, :], (nt, k, k))
+    schur = sp.csc_matrix(
+        ((jump[:, :, None] * inv[:, :k, :k] * jump[:, None, :]).ravel(),
+         (rows.ravel(), cols.ravel())),
+        shape=(count + 1, count + 1))[:count, :count]
     try:
         lu = spla.splu(schur, permc_spec="NATURAL",
                        diag_pivot_thresh=0.0,
@@ -239,22 +243,37 @@ def _hybridize(topo, blocks, family, free, centroids):
     return solve
 
 
-def solve_reduced(system, lifted, topo, blocks, centroids, family="bdm1",
-                  tol=1e-10):
+def _saddle_operator(topo, blocks, family):
+    """[B C'; C 0] applied from the element blocks M_K and rows D_K:
+    x gathered per element, multiplied, and summed back per column."""
+    columns, _ = local_columns(family, topo)
+    div = element_divergence(topo, family)
+    n = flux_dof_count(family, topo.num_edges)
+    size = n + columns.shape[0]
+
+    def matvec(x):
+        x = np.ravel(x)
+        local = x[columns]
+        flux = np.einsum("tij,tj->ti", blocks, local) + div * x[n:, None]
+        return np.concatenate([
+            np.bincount(columns.ravel(), flux.ravel(), minlength=n),
+            np.einsum("tj,tj->t", div, local)])
+
+    return spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+
+
+def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
     """Solve for the free unknowns and assemble the full solution.
 
     Parameters
     ----------
-    system : sparse matrix
-        The saddle matrix [B C'; C 0].
     lifted : LiftedSystem
     topo : EdgeTopology
     blocks : (NT, k, k) float array
-        The element blocks of `system`'s B
-        (:func:`assembly.element_mass`, the array
-        :func:`assembly.assemble_mass` scattered).  The solve uses them
-        and reads `system` only for the residual, so blocks of another
-        B give a wrong solution or a residual failure.
+        The element mass blocks M_K (:func:`assembly.element_mass`, the
+        array :func:`assembly.assemble_mass` scatters).  The residual
+        is that of [B C'; C 0] applied from these blocks, on the free
+        unknowns and relative to ``lifted.rhs``.
     centroids : (NT, 2) float array
         Element centroids.  They order the multipliers for the
         factorization (nested dissection) and change the solution by
@@ -269,12 +288,18 @@ def solve_reduced(system, lifted, topo, blocks, centroids, family="bdm1",
     free = lifted.free_dofs
     num_elements = topo.elem_to_edge.shape[0]
 
-    zero_diag = int(np.count_nonzero(system.diagonal()[free] == 0))
+    # the diagonal of [B C'; C 0], summed from the block diagonals
+    columns, _ = local_columns(family, topo)
+    zero_diag = int(np.count_nonzero(np.bincount(
+        columns.ravel(), np.diagonal(blocks, axis1=1, axis2=2).ravel(),
+        minlength=lifted.sol.size)[free] == 0))
     if zero_diag != num_elements:
         raise SolverError(
             "reduced matrix has {} zero diagonal entries, expected the "
             "{} scalar-block entries; flux mass diagonal degenerate".format(
                 zero_diag, num_elements))
+
+    system = _saddle_operator(topo, blocks, family)
 
     def defect(x):
         """load - system @ sol for the free values x (all rows)."""
@@ -355,16 +380,12 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
             "problem {!r}: alpha must be positive and finite on every "
             "element".format(problem.name))
 
-    inv_alpha = 1.0 / alpha
-    blocks = element_mass(topo, coeffs, inv_alpha, family)
-    mass = assemble_mass(topo, coeffs, inv_alpha, family, blocks=blocks)
-    div = assemble_divergence(topo, family)
-    system = assemble_system(mass, div)
-
+    blocks = element_mass(topo, coeffs, 1.0 / alpha, family)
     b1 = dirichlet_term(mesh, boundary, problem.dirichlet, topo.num_edges,
                         family)
     b2 = source_term(mesh, coeffs, problem.source)
-    lifted = neumann_lift(mesh, boundary, problem.neumann, system, b1, b2,
+    lifted = neumann_lift(mesh, boundary, problem.neumann,
+                          _saddle_operator(topo, blocks, family), b1, b2,
                           family)
     expected_free = (flux_dof_count(family, topo.num_edges)
                      + mesh.num_elements
@@ -373,8 +394,7 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
         raise SolverError(
             "free unknown count {} does not match {}".format(
                 lifted.free_dofs.size, expected_free))
-    return solve_reduced(system, lifted, topo, blocks, centroids, family,
-                         tol)
+    return solve_reduced(lifted, topo, blocks, centroids, family, tol)
 
 
 def functions_fixed(boundary, family="bdm1"):

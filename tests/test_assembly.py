@@ -96,22 +96,6 @@ class TestMass:
         b = bf.assemble_mass(paper_topo, paper_coeffs, 3 * inv_alpha)
         assert np.allclose(b.toarray(), 3 * a.toarray(), rtol=1e-15)
 
-    @pytest.mark.parametrize("family", bf.FAMILIES)
-    def test_precomputed_blocks_scattered(self, paper_topo, paper_coeffs,
-                                          paper_mesh, family):
-        inv_alpha = paper_inv_alpha(paper_mesh)
-        blocks = bf.assembly.element_mass(paper_topo, paper_coeffs,
-                                          inv_alpha, family)
-        want = bf.assemble_mass(paper_topo, paper_coeffs, inv_alpha,
-                                family).toarray()
-        got = bf.assemble_mass(paper_topo, paper_coeffs, inv_alpha, family,
-                               blocks=blocks).toarray()
-        assert np.array_equal(got, want)
-        # the given blocks are the ones scattered
-        twice = bf.assemble_mass(paper_topo, paper_coeffs, inv_alpha,
-                                 family, blocks=2 * blocks).toarray()
-        assert np.array_equal(twice, 2 * want)
-
 
 class TestDivergence:
 

@@ -254,6 +254,23 @@ class TestComputeErrors:
             bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
                               solution, patch, method="expansion")
 
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("solved_on", ["finer", "coarser"])
+    def test_solution_of_another_mesh(self, paper_mesh, solved_on, family):
+        problem = bf.get_problem("paper-example")
+        fine = bf.uniform_refine(paper_mesh)
+        solve_mesh, mesh = ((fine, paper_mesh) if solved_on == "finer"
+                            else (paper_mesh, fine))
+        solution = bf.solve_problem(solve_mesh, problem, family=family)
+        topo = bf.build_edge_topology(mesh)
+        coeffs = bf.barycentric_gradients(mesh)
+        sizes = "{} flux and {} scalar values, this mesh needs {} and {}"
+        with pytest.raises(ValueError, match=sizes.format(
+                solution.sigma.size, solution.u.size,
+                bf.flux_dof_count(family, topo.num_edges),
+                mesh.num_elements)):
+            bf.compute_errors(mesh, topo, coeffs, solution, problem)
+
 
 @pytest.fixture(scope="module")
 def study(paper_mesh):

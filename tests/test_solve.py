@@ -151,7 +151,7 @@ class TestSolveReduced:
         inv_alpha = 1.0 / problem.alpha(centroids)
         blocks = bf.assembly.element_mass(topo, coeffs, inv_alpha, family)
         system = bf.assemble_system(
-            bf.assemble_mass(topo, coeffs, inv_alpha, family, blocks=blocks),
+            bf.assemble_mass(topo, coeffs, inv_alpha, family),
             bf.assemble_divergence(topo, family))
         b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet,
                                topo.num_edges, family)
@@ -161,37 +161,44 @@ class TestSolveReduced:
         return system, lifted, topo, blocks, centroids
 
     def test_residual_reported(self, paper_mesh):
+        # the assembled system is the independent oracle here: the solve
+        # measures its residual with the operator on the element blocks
         system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         free = lifted.free_dofs
-        sol = bf.solve_reduced(system, lifted, topo, blocks, centroids)
+        sol = bf.solve_reduced(lifted, topo, blocks, centroids)
         full = np.concatenate([sol.sigma, sol.u])
         expected = (np.linalg.norm((system @ full - lifted.load)[free])
                     / np.linalg.norm(lifted.rhs[free]))
-        assert sol.residual == expected
+        assert abs(sol.residual - expected) <= 1e-14
         assert 0 <= sol.residual <= 1e-12
         assert sol.solve_time >= 0.0
 
     def test_lifted_values_kept(self, paper_mesh, paper_topo):
-        system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
+        _, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         boundary = bf.classify_boundary(paper_mesh, paper_topo)
         fixed = np.concatenate([boundary.ind_neumann,
                                 28 + boundary.ind_neumann])
-        sol = bf.solve_reduced(system, lifted, topo, blocks, centroids)
+        sol = bf.solve_reduced(lifted, topo, blocks, centroids)
         assert np.array_equal(sol.sigma[fixed], lifted.sol[fixed])
 
     def test_tolerance_enforced(self, paper_mesh):
-        system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
+        _, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         with pytest.raises(bf.SolverError, match="residual"):
-            bf.solve_reduced(system, lifted, topo, blocks, centroids,
-                             tol=1e-30)
+            bf.solve_reduced(lifted, topo, blocks, centroids, tol=1e-30)
 
     def test_diagonal_structure_check(self, paper_mesh):
-        system, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
-        system = system.copy()
-        k = lifted.free_dofs[0]  # a free flux unknown
-        system[k, k] = 0.0
+        # a free flux column on a Dirichlet edge has one side, so
+        # zeroing its entry in that element's block zeroes its diagonal
+        _, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
+        columns, _ = bf.basis.local_columns("bdm1", topo)
+        sides = np.bincount(columns.ravel())
+        free_flux = lifted.free_dofs[lifted.free_dofs < sides.size]
+        k = free_flux[sides[free_flux] == 1][0]
+        (t,), (i,) = np.nonzero(columns == k)
+        blocks = blocks.copy()
+        blocks[t, i, i] = 0.0
         with pytest.raises(bf.SolverError, match="diagonal"):
-            bf.solve_reduced(system, lifted, topo, blocks, centroids)
+            bf.solve_reduced(lifted, topo, blocks, centroids)
 
     def test_refinement_on_slivers(self):
         # areas spread 470-fold: the hybridized elimination alone leaves
@@ -215,9 +222,7 @@ class TestSolveReduced:
             return lu
 
         monkeypatch.setattr(bf.solve.spla, "splu", counted)
-        mesh = bf.builtin_mesh("paper")
-        for _ in range(4):
-            mesh = bf.uniform_refine(mesh)
+        mesh = _paper_level(4)
         for seed in (3, 5, 9):
             bf.solve_problem(relabel(mesh, seed),
                              bf.get_problem("paper-example"))
@@ -232,6 +237,56 @@ class TestSolveReduced:
             assert sol.residual <= 1e-10
             assert np.isfinite(sol.sigma).all()
             assert np.isfinite(sol.u).all()
+
+
+def _paper_level(level):
+    mesh = bf.builtin_mesh("paper")
+    for _ in range(level):
+        mesh = bf.uniform_refine(mesh)
+    return mesh
+
+
+class TestSaddleOperator:
+    """[B C'; C 0] applied from the element blocks against the
+    assembled matrix."""
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("mesh", ["paper-0", "paper-1", "paper-2",
+                                      "random-3", "random-29"])
+    def test_matches_assembled(self, mesh, family):
+        kind, number = mesh.split("-")
+        mesh = (_paper_level(int(number)) if kind == "paper"
+                else random_mesh(seed=int(number)))
+        topo = bf.build_edge_topology(mesh)
+        coeffs = bf.barycentric_gradients(mesh)
+        rng = np.random.default_rng(len(mesh.elements))
+        inv_alpha = rng.uniform(0.5, 2.0, mesh.num_elements)
+        system = bf.assemble_system(
+            bf.assemble_mass(topo, coeffs, inv_alpha, family),
+            bf.assemble_divergence(topo, family))
+        blocks = bf.assembly.element_mass(topo, coeffs, inv_alpha, family)
+        op = bf.solve._saddle_operator(topo, blocks, family)
+        assert op.shape == system.shape
+        for _ in range(3):
+            x = rng.standard_normal(system.shape[0])
+            expected = system @ x
+            assert (np.linalg.norm(op @ x - expected)
+                    <= 1e-14 * np.linalg.norm(expected))
+
+    def test_solve_assembles_no_global_matrix(self, paper_mesh,
+                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("global matrix assembled in the solve")
+
+        for name in ("assemble_mass", "assemble_divergence",
+                     "assemble_system"):
+            for module in (bf, bf.assembly, bf.solve, bf.bc):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        problem = bf.get_problem("paper-example")
+        for family in bf.FAMILIES:
+            sol = bf.solve_problem(paper_mesh, problem, family=family)
+            assert sol.residual <= 1e-10
 
 
 def _max_rel(a, b):
@@ -283,9 +338,7 @@ class TestHybridizedMatchesSaddle:
     def test_deep_tree(self, family):
         # paper level 4: 4,096 elements, ten levels of cuts, the
         # built-in mixed markers
-        mesh = bf.builtin_mesh("paper")
-        for _ in range(4):
-            mesh = bf.uniform_refine(mesh)
+        mesh = _paper_level(4)
         _check_against_saddle(mesh, bf.get_problem("paper-example"), family)
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
