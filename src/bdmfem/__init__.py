@@ -23,9 +23,9 @@ from .mesh import (BoundaryEdges, EdgeTopology, Mesh, MeshError,
                    MeshFormatError, MeshTopologyError, build_edge_topology,
                    classify_boundary, read_mesh, signed_areas,
                    uniform_refine, validate_mesh, write_mesh)
-from .norms import (TRI_QUADRATURE_DEGREE4, ErrorReport, ErrorRow,
-                    TriangleQuadrature, compute_errors, convergence_study,
-                    eval_sigma_h)
+from .norms import (TRI_QUADRATURE_DEGREE4, TRI_QUADRATURE_DEGREE6,
+                    ErrorReport, ErrorRow, TriangleQuadrature, compute_errors,
+                    convergence_study, eval_sigma_h)
 from .problems import (BUILTIN_MESHES, PROBLEMS, ProblemDefinition,
                        builtin_mesh, get_problem)
 from .solve import MixedSolution, SolverError, solve_problem, solve_reduced

@@ -145,8 +145,7 @@ def cmd_solve(args):
         solution.method, solution.residual, solution.solve_time))
     if errors is not None:
         print("err_sigma: {}".format(_format_sci(errors[0])))
-        print("err_u:     {} ({} norm)".format(_format_sci(errors[1]),
-                                               errors[2]))
+        print("err_u:     {}".format(_format_sci(errors[1])))
 
     if args.out:
         fields = [

@@ -5,19 +5,10 @@ Errors are measured in the weighted L2 norms
     err_sigma^2 = sum_K alpha_K^-1 int_K |sigma - sigma_h|^2,
     err_u^2     = sum_K int_K (u - u_h)^2,
 
-with a six-point, degree-4 triangle rule for the integrals.  When a
-problem records the exact values of (alpha^-1 sigma, sigma) and (u, u)
-the squared errors are expanded as exact_norm - 2 cross + discrete,
-where the purely discrete terms (u_h, u_h) and the flux products are
-exact for the rule; the expansion costs one field evaluation less per
-point but loses accuracy to cancellation once the error drops toward
-sqrt(eps).  Without recorded norms the difference is integrated
-directly, which stays accurate down to round-off.
-
-The expansion stays because on the paper example |sigma - sigma_h|^2
-has degree 6: on its base mesh the direct path gives err_sigma =
-1.70592e-01, the expansion 1.69684e-01, the reference 1.6968e-01 (held
-to 1e-3 relative by acceptance criterion 2).
+by integrating the pointwise differences with the twelve-point,
+degree-6 rule of Dunavant (1985).  That is exact for |sigma - sigma_h|^2
+whenever sigma is cubic on each element, as on the paper example, and
+stays accurate down to round-off on fine meshes.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +26,7 @@ from .solve import solve_problem
 __all__ = [
     "TriangleQuadrature",
     "TRI_QUADRATURE_DEGREE4",
+    "TRI_QUADRATURE_DEGREE6",
     "eval_sigma_h",
     "compute_errors",
     "ErrorRow",
@@ -69,7 +61,7 @@ class TriangleQuadrature:
     def physical_points(self, mesh):
         """Map the nodes into every element; shape (n_q, NT, 2)."""
         tri = mesh.nodes[mesh.elements]
-        return np.einsum("qi,tid->qtd", self.barycentric, tri)
+        return np.tensordot(self.barycentric, tri, axes=([1], [1]))
 
 
 #: Six-point rule, exact through degree 4.
@@ -85,6 +77,30 @@ TRI_QUADRATURE_DEGREE4 = TriangleQuadrature(
     weights=np.array([
         0.22338158967801, 0.22338158967801, 0.22338158967801,
         0.10995174365532, 0.10995174365532, 0.10995174365532,
+    ]),
+)
+
+#: Twelve-point rule of Dunavant (1985), exact through degree 6.
+TRI_QUADRATURE_DEGREE6 = TriangleQuadrature(
+    points=np.array([
+        [0.24928674517091042, 0.24928674517091042],
+        [0.24928674517091042, 0.50142650965817916],
+        [0.50142650965817916, 0.24928674517091042],
+        [0.063089014491502228, 0.063089014491502228],
+        [0.063089014491502228, 0.87382197101699554],
+        [0.87382197101699554, 0.063089014491502228],
+        [0.053145049844816947, 0.31035245103378441],
+        [0.31035245103378441, 0.053145049844816947],
+        [0.053145049844816947, 0.63650249912139865],
+        [0.63650249912139865, 0.053145049844816947],
+        [0.31035245103378441, 0.63650249912139865],
+        [0.63650249912139865, 0.31035245103378441],
+    ]),
+    weights=np.array([
+        0.11678627572637937, 0.11678627572637937, 0.11678627572637937,
+        0.050844906370206817, 0.050844906370206817, 0.050844906370206817,
+        0.082851075618373575, 0.082851075618373575, 0.082851075618373575,
+        0.082851075618373575, 0.082851075618373575, 0.082851075618373575,
     ]),
 )
 
@@ -123,18 +139,15 @@ def eval_sigma_h(flux, oriented, lam, family="bdm1", elements=None):
     return out
 
 
-def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
-    """Weighted L2 errors of a mixed solution against the exact fields.
-
-    Parameters
-    ----------
-    method : {None, "expansion", "direct"}
-        None picks "expansion" when the problem records exact norms and
-        "direct" otherwise.
+def compute_errors(mesh, topo, coeffs, solution, problem):
+    """Weighted L2 errors of a mixed solution against the exact fields,
+    integrated with `TRI_QUADRATURE_DEGREE6`.
 
     Returns
     -------
-    (err_sigma, err_u, method_used)
+    (err_sigma, err_u, "direct")
+        The third element is constant; it is kept so that callers
+        unpacking three values keep working.
 
     Raises
     ------
@@ -147,14 +160,6 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
         raise ValueError(
             "problem {!r} has no exact solution to compare "
             "against".format(problem.name))
-    if method is None:
-        method = "expansion" if problem.has_exact_norms else "direct"
-    if method == "expansion" and not problem.has_exact_norms:
-        raise ValueError(
-            "problem {!r} records no exact norms; use the direct "
-            "method".format(problem.name))
-    if method not in ("expansion", "direct"):
-        raise ValueError("unknown error method {!r}".format(method))
     check_topology(mesh, topo)
     check_coefficients(mesh, coeffs)
     counts = (flux_dof_count(solution.family, topo.num_edges),
@@ -165,45 +170,27 @@ def compute_errors(mesh, topo, coeffs, solution, problem, method=None):
                              solution.sigma.size, solution.u.size, *counts))
 
     oriented = resolve_orientation(topo, coeffs)
-    area = coeffs.area
     centroids = mesh.nodes[mesh.elements].mean(axis=1)
     inv_alpha = 1.0 / np.asarray(problem.alpha(centroids), dtype=float)
-    u_h = solution.u
-    lam_all = TRI_QUADRATURE_DEGREE4.barycentric
-    points = TRI_QUADRATURE_DEGREE4.physical_points(mesh)
-
+    quad = TRI_QUADRATURE_DEGREE6
     nt = mesh.num_elements
-    cross_s = np.zeros(nt)   # int_K sigma . sigma_h
-    disc_s = np.zeros(nt)    # int_K sigma_h . sigma_h
-    int_u = np.zeros(nt)     # int_K u
-    diff_s = np.zeros(nt)    # int_K |sigma - sigma_h|^2
-    diff_u = np.zeros(nt)    # int_K (u - u_h)^2
-    for q, w in enumerate(TRI_QUADRATURE_DEGREE4.weights):
-        p = points[q]
-        lam = np.broadcast_to(lam_all[q], (nt, 3))
-        sig_h = eval_sigma_h(solution.sigma, oriented, lam, solution.family)
-        sig = np.asarray(problem.exact_sigma(p), dtype=float)
-        if method == "expansion":
-            cross_s += w * np.einsum("td,td->t", sig, sig_h)
-            disc_s += w * np.einsum("td,td->t", sig_h, sig_h)
-            int_u += w * np.asarray(problem.exact_u(p), dtype=float)
-        else:
-            d = sig - sig_h
-            diff_s += w * np.einsum("td,td->t", d, d)
-            du = np.asarray(problem.exact_u(p), dtype=float) - u_h
-            diff_u += w * du * du
 
-    if method == "expansion":
-        err2_s = (problem.flux_norm
-                  - 2 * np.dot(inv_alpha * area, cross_s)
-                  + np.dot(inv_alpha * area, disc_s))
-        err2_u = (problem.scalar_norm
-                  - 2 * np.dot(u_h * area, int_u)
-                  + np.dot(u_h * u_h, area))
-    else:
-        err2_s = np.dot(inv_alpha * area, diff_s)
-        err2_u = np.dot(area, diff_u)
-    return np.sqrt(abs(err2_s)), np.sqrt(abs(err2_u)), method
+    # sigma_h is affine on every element, so its vertex values give it
+    # at every node of the rule: (n_q, NT, 2)
+    vertex = np.stack([
+        eval_sigma_h(solution.sigma, oriented, np.broadcast_to(e, (nt, 3)),
+                     solution.family)
+        for e in np.eye(3)])
+    sig_h = np.tensordot(quad.barycentric, vertex, axes=([1], [0]))
+    points = quad.physical_points(mesh).reshape(-1, 2)
+    d = np.asarray(problem.exact_sigma(points), dtype=float).reshape(
+        sig_h.shape) - sig_h
+    du = np.asarray(problem.exact_u(points), dtype=float).reshape(
+        -1, nt) - solution.u
+    err2_s = np.dot(inv_alpha * coeffs.area,
+                    quad.weights @ np.einsum("qtd,qtd->qt", d, d))
+    err2_u = np.dot(coeffs.area, quad.weights @ (du * du))
+    return np.sqrt(err2_s), np.sqrt(err2_u), "direct"
 
 
 @dataclass
@@ -215,7 +202,6 @@ class ErrorRow:
     num_dof: int
     err_sigma: float
     err_u: float
-    error_method: str
     residual: float
 
 
@@ -261,7 +247,7 @@ def convergence_study(problem, base_mesh, levels, family="bdm1",
             h = edge_geometry(mesh, topo).length.max()
         solution = solve_problem(mesh, problem, family=family, method=method,
                                  tol=tol, topo=topo, coeffs=coeffs)
-        err_sigma, err_u, err_method = compute_errors(
+        err_sigma, err_u, _ = compute_errors(
             mesh, topo, coeffs, solution, problem)
         report.rows.append(ErrorRow(
             level=level,
@@ -270,7 +256,6 @@ def convergence_study(problem, base_mesh, levels, family="bdm1",
             num_dof=flux_dof_count(family, topo.num_edges) + mesh.num_elements,
             err_sigma=err_sigma,
             err_u=err_u,
-            error_method=err_method,
             residual=solution.residual,
         ))
         h /= 2

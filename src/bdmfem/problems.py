@@ -25,15 +25,12 @@ class ProblemDefinition:
     neumann : callable or None
         Outward normal flux sigma . n on the Neumann boundary.
     exact_u, exact_sigma : callables or None
-        Exact solution fields, for error measurement.
-    flux_norm, scalar_norm : float or None
-        Exact values of (alpha^-1 sigma, sigma) and (u, u) over the
-        problem's domain, enabling the expanded error computation.
+        Exact solution fields, for error measurement; the errors
+        integrate their pointwise differences from the discrete fields.
     """
 
     def __init__(self, name, alpha, source, dirichlet, neumann=None,
-                 exact_u=None, exact_sigma=None, flux_norm=None,
-                 scalar_norm=None, description=""):
+                 exact_u=None, exact_sigma=None, description=""):
         self.name = name
         self.alpha = alpha
         self.source = source
@@ -41,17 +38,11 @@ class ProblemDefinition:
         self.neumann = neumann
         self.exact_u = exact_u
         self.exact_sigma = exact_sigma
-        self.flux_norm = flux_norm
-        self.scalar_norm = scalar_norm
         self.description = description
 
     @property
     def has_exact_solution(self):
         return self.exact_u is not None and self.exact_sigma is not None
-
-    @property
-    def has_exact_norms(self):
-        return self.flux_norm is not None and self.scalar_norm is not None
 
     def __repr__(self):
         return "ProblemDefinition({!r})".format(self.name)
@@ -142,8 +133,6 @@ PROBLEMS = {
         neumann=_pw_neumann,
         exact_u=_pw_u,
         exact_sigma=_pw_sigma,
-        flux_norm=1993.0 / 75.0,
-        scalar_norm=18131.0 / 7500.0,
         description="piecewise diffusion coefficient (10 for x<0, 1 for "
                     "x>0) on (-1,1)^2 with a flux-continuous manufactured "
                     "solution; Dirichlet data except on y=1",
@@ -167,8 +156,7 @@ PROBLEMS = {
         neumann=_smooth_neumann,
         exact_u=_smooth_u,
         exact_sigma=_smooth_sigma,
-        description="u = sin(pi x) sin(pi y) with unit coefficient; "
-                    "errors integrate the difference fields directly",
+        description="u = sin(pi x) sin(pi y) with unit coefficient",
     ),
 }
 

@@ -9,6 +9,22 @@ from conftest import (integrate_segment_exact, integrate_triangle_exact,
                       random_triangle)
 
 QUAD = bf.TRI_QUADRATURE_DEGREE4
+QUAD6 = bf.TRI_QUADRATURE_DEGREE6
+REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _monomial_errors(quad, tri, degree):
+    """|rule - exact| / max(|exact|, 1) for every x^a y^b, a+b = degree."""
+    mesh = bf.Mesh(tri, [[0, 1, 2]], [[1, 1, 1]])
+    pts = quad.physical_points(mesh)[:, 0, :]
+    area = bf.signed_areas(mesh)[0]
+    out = []
+    for a in range(degree + 1):
+        f = lambda p: p[:, 0] ** a * p[:, 1] ** (degree - a)
+        exact = integrate_triangle_exact(tri, f)
+        approx = area * (quad.weights * f(pts)).sum()
+        out.append(abs(approx - exact) / max(abs(exact), 1.0))
+    return out
 
 
 class TestTriangleQuadrature:
@@ -26,26 +42,27 @@ class TestTriangleQuadrature:
         rng = np.random.default_rng(31)
         for _ in range(10):
             tri = random_triangle(rng)
-            mesh = bf.Mesh(tri, [[0, 1, 2]], [[1, 1, 1]])
-            pts = QUAD.physical_points(mesh)[:, 0, :]
-            area = bf.signed_areas(mesh)[0]
-            for a in range(5):
-                for b in range(5 - a):
-                    f = lambda p: p[:, 0] ** a * p[:, 1] ** b
-                    approx = area * (QUAD.weights * f(pts)).sum()
-                    exact = integrate_triangle_exact(tri, f)
-                    scale = max(abs(exact), 1.0)
-                    assert abs(approx - exact) <= 1e-13 * scale
+            for degree in range(5):
+                assert max(_monomial_errors(QUAD, tri, degree)) <= 1e-13
 
     def test_degree_5_not_exact(self):
         # sanity check on the oracle: the rule must fail some quintic
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        mesh = bf.Mesh(tri, [[0, 1, 2]], [[1, 1, 1]])
-        pts = QUAD.physical_points(mesh)[:, 0, :]
-        f = lambda p: p[:, 0] ** 5
-        approx = 0.5 * (QUAD.weights * f(pts)).sum()
-        exact = integrate_triangle_exact(tri, f)
-        assert abs(approx - exact) > 1e-8
+        assert max(_monomial_errors(QUAD, REFERENCE_TRIANGLE, 5)) > 1e-8
+
+    def test_degree6_weights(self):
+        assert abs(QUAD6.weights.sum() - 1.0) < 1e-14
+        assert (QUAD6.barycentric > 0).all()
+
+    def test_degree6_exact_through_degree_6(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            tri = random_triangle(rng)
+            for degree in range(7):
+                assert max(_monomial_errors(QUAD6, tri, degree)) <= 1e-12
+
+    def test_degree6_not_exact_for_degree_7(self):
+        # a mistyped node or weight would show up here or above
+        assert max(_monomial_errors(QUAD6, REFERENCE_TRIANGLE, 7)) > 1e-8
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="weights"):
@@ -180,35 +197,11 @@ class TestComputeErrors:
                                     coeffs=paper_coeffs)
         err_sigma, err_u, used = bf.compute_errors(
             paper_mesh, paper_topo, paper_coeffs, solution, problem)
-        assert used == "expansion"
-        assert abs(err_sigma - 1.6968e-01) <= 1e-3 * 1.6968e-01
-        assert abs(err_u - 4.9712e-01) <= 1e-3 * 4.9712e-01
-
-    def test_methods_agree(self, paper_mesh):
-        # the expansion integrands are all within the rule's degree, so
-        # that path is quadrature-exact on this problem; the direct path
-        # integrates |sigma - sigma_h|^2, whose degree-6 part the rule
-        # misses.  The two must agree up to that bias, which shrinks
-        # roughly like h^2 under refinement.
-        problem = bf.get_problem("paper-example")
-        gaps = []
-        mesh = paper_mesh
-        for _ in range(2):
-            topo = bf.build_edge_topology(mesh)
-            coeffs = bf.barycentric_gradients(mesh)
-            solution = bf.solve_problem(mesh, problem, topo=topo,
-                                        coeffs=coeffs)
-            es1, eu1, m1 = bf.compute_errors(mesh, topo, coeffs, solution,
-                                             problem, method="expansion")
-            es2, eu2, m2 = bf.compute_errors(mesh, topo, coeffs, solution,
-                                             problem, method="direct")
-            assert (m1, m2) == ("expansion", "direct")
-            assert abs(es1 - es2) <= 1e-2 * es2
-            assert abs(eu1 - eu2) <= 1e-3 * eu2
-            gaps.append((abs(es1 - es2) / es2, abs(eu1 - eu2) / eu2))
-            mesh = bf.uniform_refine(mesh)
-        assert gaps[1][0] < gaps[0][0] / 2
-        assert gaps[1][1] < gaps[0][1] / 2
+        assert used == "direct"
+        # the degree-6 rule is exact for |sigma - sigma_h|^2 here; the
+        # degree-4 rule gave err_sigma = 1.70592e-01
+        assert abs(err_sigma - 1.696843e-01) <= 1e-6 * 1.696843e-01
+        assert abs(err_u - 4.971188e-01) <= 1e-6 * 4.971188e-01
 
     def test_self_consistency(self, paper_mesh, paper_topo, paper_coeffs):
         # || sigma_h ||^2 via quadrature equals x^T B x via assembly
@@ -242,17 +235,6 @@ class TestComputeErrors:
         with pytest.raises(ValueError, match="exact"):
             bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
                               solution, blind)
-
-    def test_invalid_method(self, paper_mesh, paper_topo, paper_coeffs):
-        problem = bf.get_problem("paper-example")
-        solution = bf.solve_problem(paper_mesh, problem)
-        with pytest.raises(ValueError, match="method"):
-            bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
-                              solution, problem, method="fancy")
-        patch = bf.get_problem("patch-linear")
-        with pytest.raises(ValueError, match="norms"):
-            bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
-                              solution, patch, method="expansion")
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("solved_on", ["finer", "coarser"])
@@ -293,7 +275,6 @@ class TestConvergenceStudy:
             assert r.num_dof == 2 * _edges_for(r.num_elements) \
                 + r.num_elements
             assert r.residual <= 1e-10
-            assert r.error_method == "expansion"
 
     def test_errors_decrease_monotonically(self, study):
         es = [r.err_sigma for r in study.rows]
@@ -324,11 +305,13 @@ class TestConvergenceStudy:
         for rs, _ in ratios[2:]:
             assert 1.9 <= rs <= 2.1
 
-    def test_patch_exact_flux(self, paper_mesh):
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    def test_patch_exact_flux(self, paper_mesh, family):
+        # sigma = (x, y) lies in both flux spaces, so this also checks
+        # that compute_errors rebuilds sigma_h from its vertex values
         report = bf.convergence_study(bf.get_problem("patch-linear"),
-                                      paper_mesh, levels=3)
+                                      paper_mesh, levels=3, family=family)
         for row in report.rows:
-            assert row.error_method == "direct"
             assert row.err_sigma <= 1e-10
         ratios = report.ratios()
         for k in (1, 2):
