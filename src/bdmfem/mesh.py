@@ -6,6 +6,8 @@ Vertex indices are 0-based everywhere in memory.  The text file format
 at read/write time and nowhere else.
 """
 
+import warnings
+
 import numpy as np
 
 __all__ = [
@@ -383,10 +385,29 @@ def _parse_fields(lines, lineno, count, conv, what):
                 lineno + 1, what, count, len(fields)))
     try:
         return [conv(f) for f in fields]
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: beyond int64
         raise MeshFormatError(
             "line {}: could not parse {}: {!r}".format(
                 lineno + 1, what, lines[lineno])) from None
+
+
+def _read_section(lines, start, rows, fields, dtype, what, ascii_text):
+    """Parse `rows` lines from `start` into a (rows, fields) array: one
+    loadtxt call, or float/np.int64 line by line where loadtxt fails (1_0),
+    warns (3.0, older numpy), skips a blank line or would misread non-ASCII."""
+    block = lines[start:start + rows]
+    if ascii_text and len(block) == rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(block, dtype=dtype, comments=None,
+                                    ndmin=2)
+            if values.shape == (rows, fields):
+                return values
+        except (ValueError, Warning):
+            pass
+    return np.array([_parse_fields(lines, start + k, fields, dtype, what)
+                     for k in range(rows)], dtype=dtype)
 
 
 def read_mesh(path):
@@ -403,18 +424,19 @@ def read_mesh(path):
     the expected lines is rejected.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines, ascii_text = text.splitlines(), text.isascii()
 
     n, nt = _parse_fields(lines, 0, 2, int, "vertex and element counts")
     if n < 1 or nt < 1:
         raise MeshFormatError("line 1: counts must be positive")
 
-    nodes = [_parse_fields(lines, 1 + k, 2, float, "vertex coordinates")
-             for k in range(n)]
-    elements = [_parse_fields(lines, 1 + n + k, 3, int, "element vertices")
-                for k in range(nt)]
-    markers = [_parse_fields(lines, 1 + n + nt + k, 3, int, "edge markers")
-               for k in range(nt)]
+    nodes = _read_section(lines, 1, n, 2, float, "vertex coordinates",
+                          ascii_text)
+    elements = _read_section(lines, 1 + n, nt, 3, np.int64,
+                             "element vertices", ascii_text)
+    markers = _read_section(lines, 1 + n + nt, nt, 3, np.int64,
+                            "edge markers", ascii_text)
 
     used = 1 + n + 2 * nt
     for k in range(used, len(lines)):
@@ -422,7 +444,6 @@ def read_mesh(path):
             raise MeshFormatError(
                 "line {}: trailing content {!r}".format(k + 1, lines[k]))
 
-    elements = np.array(elements, dtype=np.int64)
     if (elements < 1).any() or (elements > n).any():
         t = np.flatnonzero(((elements < 1) | (elements > n)).any(axis=1))[0]
         raise MeshFormatError(
@@ -435,9 +456,7 @@ def write_mesh(mesh, path):
     """Write a mesh in the format read by :func:`read_mesh`."""
     with open(path, "w") as fh:
         fh.write("{} {}\n".format(mesh.num_nodes, mesh.num_elements))
-        for x, y in mesh.nodes:
-            fh.write("{:.17g} {:.17g}\n".format(x, y))
-        for tri in mesh.elements + 1:
-            fh.write("{} {} {}\n".format(*tri))
-        for row in mesh.boundary_markers:
-            fh.write("{} {} {}\n".format(*row))
+        for rows, fmt in ((mesh.nodes, "%.17g %.17g\n"),
+                          (mesh.elements + 1, "%d %d %d\n"),
+                          (mesh.boundary_markers, "%d %d %d\n")):
+            fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))

@@ -311,17 +311,18 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
     norm_rhs = np.linalg.norm(lifted.rhs[free]) or 1.0
     solve = _hybridize(topo, blocks, family, free, centroids)
     x = solve(lifted.load, lifted.sol)[free]
+    r = defect(x)
     # on badly shaped elements the elimination alone can miss the
     # tolerance; refine against the saddle residual with the factor
     for _ in range(2):
-        r = defect(x)
         if np.linalg.norm(r[free]) <= tol * norm_rhs:
             break
         x = x + solve(r, np.zeros_like(r))[free]
+        r = defect(x)
 
     if not np.isfinite(x).all():
         raise SolverError("solution contains non-finite entries")
-    residual = np.linalg.norm(defect(x)[free]) / norm_rhs
+    residual = np.linalg.norm(r[free]) / norm_rhs
     if residual > tol:
         raise SolverError(
             "relative residual {:.3e} above tolerance {:.1e}; system "

@@ -1,7 +1,8 @@
 """Shared fixtures: the 16-element reference mesh with its hand-checked
-topology tables, random-mesh generators for property tests, and the
-whole saddle-system solve that the hybridized direct solve is checked
-against."""
+topology tables, random-mesh generators for property tests, the whole
+saddle-system solve that the hybridized direct solve is checked against,
+and the line-at-a-time mesh reader and writer that the section-at-a-time
+ones are checked against."""
 
 import os
 from pathlib import Path
@@ -190,3 +191,66 @@ def saddle_solve(mesh, problem, family="bdm1"):
         lifted.rhs[free])
     nf = bf.flux_dof_count(family, topo.num_edges)
     return sol[:nf], sol[nf:]
+
+
+def _parse_fields_per_line(lines, lineno, count, conv, what):
+    if lineno >= len(lines):
+        raise bf.MeshFormatError(
+            "line {}: expected {} but file ended".format(lineno + 1, what))
+    fields = lines[lineno].split()
+    if len(fields) != count:
+        raise bf.MeshFormatError(
+            "line {}: expected {} ({} fields), got {} fields".format(
+                lineno + 1, what, count, len(fields)))
+    try:
+        return [conv(f) for f in fields]
+    except ValueError:
+        raise bf.MeshFormatError(
+            "line {}: could not parse {}: {!r}".format(
+                lineno + 1, what, lines[lineno])) from None
+
+
+def read_mesh_per_line(path):
+    """Reference reader: every line split and converted by Python's
+    int and float, one at a time.  It raises OverflowError, not
+    MeshFormatError, on an index or marker beyond int64."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+
+    n, nt = _parse_fields_per_line(lines, 0, 2, int,
+                                   "vertex and element counts")
+    if n < 1 or nt < 1:
+        raise bf.MeshFormatError("line 1: counts must be positive")
+
+    nodes = [_parse_fields_per_line(lines, 1 + k, 2, float,
+                                    "vertex coordinates")
+             for k in range(n)]
+    elements = [_parse_fields_per_line(lines, 1 + n + k, 3, int,
+                                       "element vertices")
+                for k in range(nt)]
+    markers = [_parse_fields_per_line(lines, 1 + n + nt + k, 3, int,
+                                      "edge markers")
+               for k in range(nt)]
+
+    used = 1 + n + 2 * nt
+    for k in range(used, len(lines)):
+        if lines[k].strip():
+            raise bf.MeshFormatError(
+                "line {}: trailing content {!r}".format(k + 1, lines[k]))
+
+    elements = np.array(elements, dtype=np.int64)
+    if (elements < 1).any() or (elements > n).any():
+        t = np.flatnonzero(((elements < 1) | (elements > n)).any(axis=1))[0]
+        raise bf.MeshFormatError(
+            "line {}: vertex index out of range 1..{}".format(
+                1 + n + t + 1, n))
+    return bf.Mesh(nodes, elements - 1, markers)
+
+
+def mesh_text_per_line(mesh):
+    """Reference writer: the mesh file's text, one str.format per line."""
+    lines = ["{} {}\n".format(mesh.num_nodes, mesh.num_elements)]
+    lines += ["{:.17g} {:.17g}\n".format(x, y) for x, y in mesh.nodes]
+    lines += ["{} {} {}\n".format(*row) for row in mesh.elements + 1]
+    lines += ["{} {} {}\n".format(*row) for row in mesh.boundary_markers]
+    return "".join(lines)

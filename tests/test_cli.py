@@ -58,6 +58,15 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "invalid" in err
 
+    def test_integer_overflow(self, tmp_path, capsys):
+        path = tmp_path / "overflow.mesh"
+        path.write_text("3 1\n0 0\n1 0\n0 1\n1 2 99999999999999999999\n"
+                        "1 1 1\n")
+        assert main(["inspect", "--mesh", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "line 5: could not parse element vertices" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["inspect", "solve", "converge"])
     def test_non_finite_vertex(self, tmp_path, capsys, command, value):

@@ -1,12 +1,17 @@
 """Mesh data model, edge topology, boundary classification, refinement
 and the text file format."""
 
+import functools
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bdmfem as bf
 from conftest import (REFERENCE_EDGES_1B, REFERENCE_ELEM2EDGE_1B,
-                      REFERENCE_SIGNEDGE, random_mesh, relabel)
+                      REFERENCE_SIGNEDGE, mesh_text_per_line, random_mesh,
+                      read_mesh_per_line, relabel)
 
 
 def single_triangle():
@@ -334,11 +339,32 @@ class TestMeshIO:
                               paper_mesh.boundary_markers)
 
     def test_round_trip_random_coordinates(self, tmp_path):
-        mesh = random_mesh(seed=29)
+        mesh = random_mesh(seed=29, n=600)
+        assert mesh.num_elements >= 1000
         path = tmp_path / "random.mesh"
         bf.write_mesh(mesh, path)
         back = bf.read_mesh(path)
         assert np.array_equal(back.nodes, mesh.nodes)  # bitwise
+        assert np.array_equal(back.elements, mesh.elements)
+        assert np.array_equal(back.boundary_markers, mesh.boundary_markers)
+
+    def test_writer_matches_per_line_format(self, tmp_path):
+        # every magnitude from 1e-300 to 1e300, signed zeros,
+        # subnormals and non-finite values, to 17 significant digits
+        rng = np.random.default_rng(17)
+        wide = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(
+            -300, 300, 4000)
+        subnormal = rng.uniform(-1, 1, 100) * 2.2250738585072014e-308
+        special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                   -np.nan, 1.7976931348623157e308, 0.1, 1 / 3]
+        nodes = np.concatenate([wide, subnormal, special, [0.0]])
+        nodes = nodes.reshape(-1, 2)
+        elements = rng.integers(0, len(nodes), (1000, 3))
+        markers = rng.integers(0, 3, (1000, 3))
+        mesh = bf.Mesh(nodes, elements, markers)
+        path = tmp_path / "block.mesh"
+        bf.write_mesh(mesh, path)
+        assert path.read_bytes() == mesh_text_per_line(mesh).encode()
 
     def test_trailing_garbage_rejected(self, tmp_path, paper_mesh):
         path = tmp_path / "bad.mesh"
@@ -372,6 +398,99 @@ class TestMeshIO:
         with pytest.raises(bf.MeshFormatError, match="out of range"):
             bf.read_mesh(path)
 
+    @pytest.mark.parametrize("section", ["element", "marker"])
+    def test_integer_overflow(self, tmp_path, section):
+        line = {"element": 5, "marker": 6}[section]
+        lines = ["3 1", "0 0", "1 0", "0 1", "1 2 3", "1 1 1"]
+        lines[line - 1] = "1 2 99999999999999999999"  # beyond int64
+        path = tmp_path / "overflow.mesh"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(bf.MeshFormatError,
+                           match="line {}: could not parse".format(line)):
+            bf.read_mesh(path)
+
+    def test_tokens_match_per_line_parser(self, tmp_path):
+        path = tmp_path / "token.mesh"
+        for line in range(1, 7):  # counts, vertex, element, marker lines
+            for token in _TOKENS:
+                lines = ["3 1", "0 0", "1 0", "0 1", "1 2 3", "1 1 1"]
+                lines[line - 1] = token + lines[line - 1][1:]
+                path.write_text("\n".join(lines) + "\n")
+                _assert_same_outcome(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reader_matches_per_line_parser(self, tmp_path_factory, data):
+        # hypothesis reruns the test body, so no function-scoped tmp_path
+        path = tmp_path_factory.getbasetemp() / "fuzz.mesh"
+        path.write_text(data.draw(_corrupted_mesh_text()))
+        _assert_same_outcome(path)
+
     def test_mesh_arrays_frozen(self, paper_mesh):
         with pytest.raises(ValueError):
             paper_mesh.nodes[0, 0] = 99.0
+
+
+# tokens Python's int or float read differently from numpy, or not at all
+_TOKENS = ["zero", "1_0", "+3", "3.0", "1e3", "nan", "1\x0c2", "1\t2",
+           "99999999999999999999", "-0", "\u0663", "1\u01fe2", "\xa01"]
+
+
+@functools.lru_cache(maxsize=None)
+def _mesh_text(seed):
+    return mesh_text_per_line(bf.builtin_mesh("paper") if seed < 0
+                              else random_mesh(seed=seed, n=8 + seed))
+
+
+@st.composite
+def _corrupted_mesh_text(draw):
+    """A written mesh with at most one corruption."""
+    text = _mesh_text(draw(st.integers(-1, 4)))
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["none", "drop", "add", "token", "blank",
+                                 "truncate", "trailing"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    fields = lines[k].split()
+    i = draw(st.integers(0, len(fields) - 1))
+    if kind == "drop":
+        del fields[i]
+    elif kind == "add":
+        fields.insert(i, draw(st.sampled_from(["0", "1", "2.5"])))
+    elif kind == "token":
+        fields[i] = draw(st.sampled_from(_TOKENS) | st.text(
+            string.printable + "\xa0\u2003\u0663\uff13", min_size=1,
+            max_size=4))
+    if kind in ("drop", "add", "token"):
+        lines[k] = " ".join(fields)
+    elif kind == "blank":
+        lines.insert(k, draw(st.sampled_from(["", "  ", "\t"])))
+    text = "\n".join(lines) + "\n"
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif kind == "trailing":
+        text += draw(st.sampled_from(["x\n", "\n\n", "1 2 3\n", " \n"]))
+    return text
+
+
+def _assert_same_outcome(path):
+    """read_mesh returns the per-line reader's arrays bit for bit or
+    raises its MeshFormatError message."""
+    outcome = []
+    for reader in (read_mesh_per_line, bf.read_mesh):
+        try:
+            outcome.append(reader(path))
+        except bf.MeshFormatError as exc:
+            outcome.append(str(exc))
+        except OverflowError:
+            outcome.append(OverflowError)
+    expected, actual = outcome
+    if expected is OverflowError:
+        # the one intended difference: beyond int64 is a format error
+        assert isinstance(actual, str) and "could not parse" in actual
+    elif isinstance(expected, str):
+        assert actual == expected
+    else:
+        for name in ("nodes", "elements", "boundary_markers"):
+            want, got = getattr(expected, name), getattr(actual, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()  # bitwise

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import bdmfem as bf
 from conftest import (mark_boundary_dirichlet, random_mesh, relabel,
@@ -272,6 +273,35 @@ class TestSaddleOperator:
             expected = system @ x
             assert (np.linalg.norm(op @ x - expected)
                     <= 1e-14 * np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("mesh, tol, applications", [
+        # the Neumann lift and the one residual check
+        ("paper-2", 1e-10, 2),
+        # all Dirichlet, so no lift; the residual before and after the
+        # one refinement step this sliver mesh needs
+        ("random-29", 1e-13, 2),
+    ])
+    def test_applications_per_solve(self, monkeypatch, mesh, tol,
+                                    applications):
+        calls = []
+        saddle_operator = bf.solve._saddle_operator
+
+        def counted(*args):
+            op = saddle_operator(*args)
+
+            def matvec(x):
+                calls.append(1)
+                return op @ x
+            return spla.LinearOperator(op.shape, matvec=matvec, dtype=float)
+
+        monkeypatch.setattr(bf.solve, "_saddle_operator", counted)
+        kind, number = mesh.split("-")
+        mesh = (_paper_level(int(number)) if kind == "paper"
+                else random_mesh(seed=int(number)))
+        sol = bf.solve_problem(mesh, bf.get_problem("paper-example"),
+                               tol=tol)
+        assert sol.residual <= tol
+        assert len(calls) == applications
 
     def test_solve_assembles_no_global_matrix(self, paper_mesh,
                                               monkeypatch):
