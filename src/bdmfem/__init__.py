@@ -8,26 +8,40 @@ constant-trace flux family ("rt0"), bdm1 with the two unknowns of each
 edge tied into one, is available as an alternative.
 """
 
-from .assembly import (assemble_divergence, assemble_mass, assemble_system,
-                       write_matrix_market)
-from .basis import (FAMILIES, OrientedEdgeBasis, divergence, eval_basis,
-                    flux_dof_count, functions_per_edge, normal_trace,
-                    resolve_orientation)
-from .bc import (EDGE_GAUSS2_POSITIONS, EDGE_GAUSS2_WEIGHTS, LiftedSystem,
-                 dirichlet_term, edge_moment_matrix, neumann_lift,
-                 source_term)
-from .geometry import (BarycentricCoefficients, DegenerateElementError,
-                       EdgeGeometry, barycentric_coordinates,
-                       barycentric_gradients, edge_geometry)
-from .mesh import (BoundaryEdges, EdgeTopology, Mesh, MeshError,
-                   MeshFormatError, MeshTopologyError, build_edge_topology,
-                   classify_boundary, read_mesh, signed_areas,
-                   uniform_refine, validate_mesh, write_mesh)
-from .norms import (TRI_QUADRATURE_DEGREE4, TRI_QUADRATURE_DEGREE6,
-                    ErrorReport, ErrorRow, TriangleQuadrature, compute_errors,
-                    convergence_study, eval_sigma_h)
-from .problems import (BUILTIN_MESHES, PROBLEMS, ProblemDefinition,
-                       builtin_mesh, get_problem)
-from .solve import MixedSolution, SolverError, solve_problem, solve_reduced
+from importlib import import_module as _import_module
 
+# submodule -> its public names, imported on use and never cached (PEP 562)
+_EXPORTS = {
+    "assembly": "assemble_divergence assemble_mass assemble_system "
+                "write_matrix_market",
+    "basis": "FAMILIES OrientedEdgeBasis divergence eval_basis flux_dof_count "
+             "functions_per_edge normal_trace resolve_orientation",
+    "bc": "EDGE_GAUSS2_POSITIONS EDGE_GAUSS2_WEIGHTS LiftedSystem "
+          "dirichlet_term edge_moment_matrix neumann_lift source_term",
+    "geometry": "BarycentricCoefficients DegenerateElementError EdgeGeometry "
+                "barycentric_coordinates barycentric_gradients edge_geometry",
+    "mesh": "BoundaryEdges EdgeTopology Mesh MeshError MeshFormatError "
+            "MeshTopologyError build_edge_topology classify_boundary "
+            "read_mesh signed_areas uniform_refine validate_mesh write_mesh",
+    "norms": "TRI_QUADRATURE_DEGREE4 TRI_QUADRATURE_DEGREE6 ErrorReport "
+             "ErrorRow TriangleQuadrature compute_errors convergence_study "
+             "eval_sigma_h",
+    "problems": "BUILTIN_MESHES PROBLEMS ProblemDefinition builtin_mesh "
+                "get_problem",
+    "solve": "MixedSolution SolverError solve_problem solve_reduced",
+}
+_SOURCE = {n: m for m, names in _EXPORTS.items() for n in names.split()}
+__all__ = list(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module("." + name, __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module("." + _SOURCE[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

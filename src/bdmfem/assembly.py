@@ -25,7 +25,6 @@ P = [I; I].  B and C are those blocks scattered as coordinate triplets
 """
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .basis import (flux_dof_count, flux_functions, functions_per_edge,
@@ -120,4 +119,5 @@ def write_matrix_market(path, matrix):
     symmetric`` and uses 1-based indices, so it round-trips through any
     conforming reader.
     """
+    import scipy.io  # here only: it costs ~30 ms beyond scipy.sparse
     scipy.io.mmwrite(path, sp.coo_matrix(matrix), symmetry="symmetric")

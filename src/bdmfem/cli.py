@@ -19,11 +19,7 @@ from .basis import FAMILIES
 from .geometry import DegenerateElementError, barycentric_gradients
 from .mesh import (MeshError, build_edge_topology, classify_boundary,
                    read_mesh, validate_mesh)
-from .norms import compute_errors, convergence_study
 from .problems import BUILTIN_MESHES, PROBLEMS, builtin_mesh, get_problem
-from .solve import SolverError, solve_problem
-from .assembly import (assemble_divergence, assemble_mass, assemble_system,
-                       write_matrix_market)
 
 __all__ = ["main"]
 
@@ -125,16 +121,17 @@ def _format_sci(x):
 
 
 def cmd_solve(args):
+    from . import assembly, norms, solve
     mesh = _load_mesh(args.mesh)
     problem = get_problem(args.problem)
     topo = build_edge_topology(mesh)
     coeffs = barycentric_gradients(mesh)
-    solution = solve_problem(mesh, problem, family=args.family,
-                             method=args.solver, tol=args.tol,
-                             topo=topo, coeffs=coeffs)
+    solution = solve.solve_problem(mesh, problem, family=args.family,
+                                   method=args.solver, tol=args.tol,
+                                   topo=topo, coeffs=coeffs)
     errors = None
     if problem.has_exact_solution:
-        errors = compute_errors(mesh, topo, coeffs, solution, problem)
+        errors = norms.compute_errors(mesh, topo, coeffs, solution, problem)
 
     print("problem:   {} ({})".format(problem.name, args.family))
     print("mesh:      {} nodes, {} elements, {} edges".format(
@@ -179,14 +176,15 @@ def cmd_solve(args):
                     fh.write("{},{},{:.17e}\n".format(name, k, v))
     if args.dump_matrix:
         inv_alpha = 1.0 / problem.alpha(mesh.nodes[mesh.elements].mean(axis=1))
-        system = assemble_system(
-            assemble_mass(topo, coeffs, inv_alpha, args.family),
-            assemble_divergence(topo, args.family))
-        write_matrix_market(args.dump_matrix, system)
+        system = assembly.assemble_system(
+            assembly.assemble_mass(topo, coeffs, inv_alpha, args.family),
+            assembly.assemble_divergence(topo, args.family))
+        assembly.write_matrix_market(args.dump_matrix, system)
     return EXIT_OK
 
 
 def cmd_converge(args):
+    from .norms import convergence_study
     mesh = _load_mesh(args.mesh)
     problem = get_problem(args.problem)
     if not problem.has_exact_solution:
@@ -255,12 +253,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SolverError as exc:
-        print("bdmfem: solver failure: {}".format(exc), file=sys.stderr)
-        return EXIT_SOLVER
     except (MeshError, DegenerateElementError, OSError, ValueError) as exc:
         print("bdmfem: {}".format(exc), file=sys.stderr)
         return EXIT_DATA
+    except RuntimeError as exc:
+        from .solve import SolverError  # raised there, so already loaded
+        if not isinstance(exc, SolverError):
+            raise
+        print("bdmfem: solver failure: {}".format(exc), file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -68,10 +68,13 @@ class Mesh:
 
     def __init__(self, nodes, elements, boundary_markers=None):
         self.nodes = np.array(nodes, dtype=float)
-        self.elements = np.array(elements, dtype=np.int64)
-        if boundary_markers is None:
-            boundary_markers = np.zeros_like(self.elements)
-        self.boundary_markers = np.array(boundary_markers, dtype=np.int64)
+        try:
+            self.elements = np.array(elements, dtype=np.int64)
+            if boundary_markers is None:
+                boundary_markers = np.zeros_like(self.elements)
+            self.boundary_markers = np.array(boundary_markers, dtype=np.int64)
+        except OverflowError:
+            raise MeshError("indices and markers must fit in int64") from None
 
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise MeshError("nodes must be an (N, 2) array")

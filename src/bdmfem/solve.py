@@ -155,7 +155,7 @@ def _dissection_rank(centroids, columns, signs, joined):
     elements' leaves first separate, or in its element's leaf if it has
     one side.  Nodes are numbered in post order, leaves first and the
     top cut last; inside a node the multipliers follow their elements'
-    leaf order.
+    leaf positions, the lower one first and then the higher.
     """
     pos, code, depth = _bisect(centroids)
     # the plus and minus side of every column; signs are opposite on
@@ -172,7 +172,8 @@ def _dissection_rank(centroids, columns, signs, joined):
     # nodes by that and then by height is post order
     below = np.frexp(code[plus] ^ code[minus])[1].astype(np.int64)
     node = (code[plus] | ((1 << below) - 1)) * (depth + 1) + below
-    order = np.lexsort((np.minimum(pos[plus], pos[minus]), node))
+    a, b = pos[plus], pos[minus]
+    order = np.lexsort((np.minimum(a, b) * pos.size + np.maximum(a, b), node))
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
     return rank
@@ -374,7 +375,8 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
         check_coefficients(mesh, coeffs)
     boundary = classify_boundary(mesh, topo)
 
-    centroids = mesh.nodes[mesh.elements].mean(axis=1)
+    # summed in coordinate order, so the vertex order leaves no round-off
+    centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
     alpha = np.asarray(problem.alpha(centroids), dtype=float)
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
         raise ValueError(

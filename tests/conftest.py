@@ -239,6 +239,7 @@ def read_mesh_per_line(path):
                 "line {}: trailing content {!r}".format(k + 1, lines[k]))
 
     elements = np.array(elements, dtype=np.int64)
+    markers = np.array(markers, dtype=np.int64)
     if (elements < 1).any() or (elements > n).any():
         t = np.flatnonzero(((elements < 1) | (elements > n)).any(axis=1))[0]
         raise bf.MeshFormatError(

@@ -101,6 +101,14 @@ class TestValidation:
                        paper_mesh.boundary_markers)
         assert bf.validate_mesh(mesh) == ["vertex 3: non-finite coordinates"]
 
+    @pytest.mark.parametrize("elements, markers", [
+        ([[0, 1, 2 ** 63]], None),
+        ([[0, 1, 2]], [[1, 1, -2 ** 63 - 1]]),
+    ])
+    def test_beyond_int64_is_mesh_error(self, elements, markers):
+        with pytest.raises(bf.MeshError, match="int64"):
+            bf.Mesh([[0, 0], [1, 0], [0, 1]], elements, markers)
+
     def test_clockwise_element(self):
         mesh = bf.Mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], [[1, 1, 1]])
         assert any("area" in v for v in bf.validate_mesh(mesh))
