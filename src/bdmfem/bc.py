@@ -7,8 +7,8 @@ Dirichlet data g_D is natural for the mixed system and contributes
 essential: the flux coefficients on Neumann edges are fixed so that
 sigma_h . n equals the L2 projection of g_N onto the edge's
 normal-trace space (linear per edge for "bdm1", constant for "rt0"),
-the lifted contribution is moved to the right-hand side, and those
-unknowns leave the system.
+and those unknowns leave the system.  The solve moves the lifted
+values' contribution to the right-hand side.
 
 On an edge of length L with global endpoints z_s, z_t the edge mass
 matrix of (lambda_s, lambda_t) is L/6 [[2, 1], [1, 2]]; inverting it
@@ -47,13 +47,13 @@ EDGE_GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
 
 class LiftedSystem:
-    """Solution vector seeded with the lifted Neumann coefficients,
-    the correspondingly corrected right-hand side, the indices of the
-    unknowns that remain free, and the load [b1; b2] before the lift."""
+    """Solution vector seeded with the lifted Neumann coefficients, the
+    indices of the unknowns that remain free, and the load [b1; b2].
+    The solve's first defect, load - [B C'; C 0] sol, is the
+    right-hand side on the free unknowns."""
 
-    def __init__(self, sol, rhs, free_dofs, load):
+    def __init__(self, sol, free_dofs, load):
         self.sol = sol
-        self.rhs = rhs
         self.free_dofs = free_dofs
         self.load = load
 
@@ -108,17 +108,14 @@ def dirichlet_term(mesh, boundary, g_dirichlet, num_edges, family="bdm1"):
     return b1
 
 
-def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
-    """Fix the Neumann flux coefficients and reduce the load vector.
+def neumann_lift(mesh, boundary, g_neumann, b1, b2, family="bdm1"):
+    """Fix the Neumann flux coefficients.
 
     Returns a :class:`LiftedSystem` whose ``sol`` holds the lifted
-    coefficients (zeros elsewhere), whose ``rhs`` is
-    ``load`` - system @ sol with ``load`` = [b1; b2], and whose
-    ``free_dofs`` excludes the Neumann flux unknowns.  `system` is
-    [B C'; C 0] as anything with ``shape`` and ``@``: an assembled
-    matrix or the solve's operator on the element blocks.
+    coefficients (zeros elsewhere), whose ``free_dofs`` excludes the
+    Neumann flux unknowns, and whose ``load`` is [b1; b2].
     """
-    ndof = system.shape[0]
+    ndof = len(b1) + len(b2)
     num_edges = len(b1) // functions_per_edge(family)
     sol = np.zeros(ndof)
     count = np.zeros(ndof, dtype=np.int64)
@@ -142,7 +139,5 @@ def neumann_lift(mesh, boundary, g_neumann, system, b1, b2, family="bdm1"):
         count = np.bincount(cols, minlength=ndof)
         np.add.at(sol, cols, vals / count[cols])
 
-    fixed = count > 0
-    load = np.concatenate([b1, b2])
-    rhs = load - system @ sol if fixed.any() else load
-    return LiftedSystem(sol, rhs, np.flatnonzero(~fixed), load)
+    return LiftedSystem(sol, np.flatnonzero(count == 0),
+                        np.concatenate([b1, b2]))

@@ -68,9 +68,6 @@ def build_parser():
                        help="built-in problem to solve")
         p.add_argument("--family", default="bdm1", choices=FAMILIES,
                        help="flux element family (default bdm1)")
-        p.add_argument("--solver", default="direct", choices=("direct",),
-                       help="linear solver; direct is the only one, the "
-                            "flag is kept for compatibility")
         p.add_argument("--tol", default=1e-10, type=_tolerance,
                        help="relative residual tolerance (default 1e-10)")
         p.add_argument("--out", help="write a CSV summary to this path")
@@ -127,8 +124,7 @@ def cmd_solve(args):
     topo = build_edge_topology(mesh)
     coeffs = barycentric_gradients(mesh)
     solution = solve.solve_problem(mesh, problem, family=args.family,
-                                   method=args.solver, tol=args.tol,
-                                   topo=topo, coeffs=coeffs)
+                                   tol=args.tol, topo=topo, coeffs=coeffs)
     errors = None
     if problem.has_exact_solution:
         errors = norms.compute_errors(mesh, topo, coeffs, solution, problem)
@@ -138,8 +134,8 @@ def cmd_solve(args):
         mesh.num_nodes, mesh.num_elements, topo.num_edges))
     print("unknowns:  {} ({} free)".format(solution.num_dof,
                                            solution.num_free))
-    print("solver:    {}, residual {:.3e}, {:.3f} s".format(
-        solution.method, solution.residual, solution.solve_time))
+    print("solver:    direct, residual {:.3e}, {:.3f} s".format(
+        solution.residual, solution.solve_time))
     if errors is not None:
         print("err_sigma: {}".format(_format_sci(errors[0])))
         print("err_u:     {}".format(_format_sci(errors[1])))
@@ -148,7 +144,7 @@ def cmd_solve(args):
         fields = [
             ("problem", problem.name),
             ("family", solution.family),
-            ("solver", solution.method),
+            ("solver", "direct"),
             ("nodes", mesh.num_nodes),
             ("elements", mesh.num_elements),
             ("edges", topo.num_edges),
@@ -192,8 +188,7 @@ def cmd_converge(args):
             "problem {!r} has no exact solution; nothing to "
             "study".format(problem.name))
     report = convergence_study(problem, mesh, args.levels,
-                               family=args.family, method=args.solver,
-                               tol=args.tol)
+                               family=args.family, tol=args.tol)
 
     lines = ["h,err_sigma,ratio_sigma,err_u,ratio_u"]
     for row, (rs, ru) in zip(report.rows, report.ratios()):

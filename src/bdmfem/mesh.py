@@ -49,6 +49,20 @@ class MeshTopologyError(MeshError):
     """Inconsistent mesh connectivity."""
 
 
+def _integers(values, field):
+    """`values` as an int64 array; MeshError naming `field` for an entry
+    that is not an integer in int64's range (2.7, nan, inf, 2**63)."""
+    message = "{} must be integers that fit in int64".format(field)
+    given = np.asarray(values)
+    if given.dtype.kind == "f" and not (
+            (given == np.trunc(given)) & (np.abs(given) < 2.0 ** 63)).all():
+        raise MeshError(message)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise MeshError(message) from None
+
+
 class Mesh:
     """Conforming triangulation with per-element boundary markers.
 
@@ -68,13 +82,11 @@ class Mesh:
 
     def __init__(self, nodes, elements, boundary_markers=None):
         self.nodes = np.array(nodes, dtype=float)
-        try:
-            self.elements = np.array(elements, dtype=np.int64)
-            if boundary_markers is None:
-                boundary_markers = np.zeros_like(self.elements)
-            self.boundary_markers = np.array(boundary_markers, dtype=np.int64)
-        except OverflowError:
-            raise MeshError("indices and markers must fit in int64") from None
+        self.elements = _integers(elements, "elements")
+        if boundary_markers is None:
+            boundary_markers = np.zeros_like(self.elements)
+        self.boundary_markers = _integers(boundary_markers,
+                                          "boundary_markers")
 
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise MeshError("nodes must be an (N, 2) array")

@@ -13,8 +13,10 @@ Gopalakrishnan 2004):
   flux column that two elements share or the Neumann lift fixes.  The
   jump operator E_K holds the orientation signs sign_edge, which are
   opposite on the two sides of an interior edge, so
-  sum_K E_K' y_K = 0 there and s y = s x_lift on a Neumann column.  A
-  Dirichlet column belongs to one element and needs no multiplier;
+  sum_K E_K' y_K = 0 there, and s y = 0 on a Neumann column, whose
+  value the lift has fixed: its multiplier absorbs the load on its
+  row.  A Dirichlet column belongs to one element and needs no
+  multiplier;
 * what is left is S = sum_K E_K H_K E_K' in the multipliers, with H_K
   the flux block of the inverted element block.  S has the sparsity of
   B and is symmetric positive definite once some edge is Dirichlet;
@@ -26,17 +28,21 @@ Gopalakrishnan 2004):
 * flux and scalar are recovered element by element, and each flux
   column takes the mean of its sides' values.
 
-In exact arithmetic this is the saddle solution.  On badly shaped
-elements round-off can leave its saddle residual above the tolerance,
-so up to two refinement steps reuse the factor.  No global matrix is
-assembled: the Neumann lift, the refinement and the residual apply
-[B C'; C 0] from the same element blocks (:func:`_saddle_operator`).
-The tests keep the assembled saddle system, factored by SuperLU, as
-the reference.
+The solve is defect correction.  The first defect is the load less
+[B C'; C 0] applied to the lifted Neumann values, or the load itself
+when nothing is lifted.  Each step adds the elimination's answer for
+the current defect to the free unknowns.  In exact arithmetic one step
+gives the saddle solution; on badly shaped elements round-off can
+leave the residual above the tolerance, so up to two more steps reuse
+the factor.  No global matrix is assembled: the defects apply
+[B C'; C 0] from the same element blocks (:func:`_saddle_operator`),
+and the element tables (columns, signs, divergence rows) are built
+once per solve.  The tests keep the assembled saddle system, factored
+by SuperLU, as the reference.
 
 The reported residual is that of the saddle system on the free
-unknowns, relative to the lifted right-hand side, and it is checked
-against the requested tolerance.
+unknowns, relative to the first defect, and it is checked against the
+requested tolerance.
 """
 
 import time
@@ -69,21 +75,17 @@ class MixedSolution:
         Elementwise constant scalar values.
     residual : float
         Relative residual of the saddle system on the free unknowns.
-    method : str
-        Always "direct".
     solve_time : float
         Wall-clock seconds spent in :func:`solve_reduced`.
     num_free : int
         Number of unknowns actually solved for.
     """
 
-    def __init__(self, sigma, u, family, residual, method, solve_time,
-                 num_free):
+    def __init__(self, sigma, u, family, residual, solve_time, num_free):
         self.sigma = sigma
         self.u = u
         self.family = family
         self.residual = residual
-        self.method = method
         self.solve_time = solve_time
         self.num_free = num_free
 
@@ -179,22 +181,20 @@ def _dissection_rank(centroids, columns, signs, joined):
     return rank
 
 
-def _hybridize(topo, blocks, family, free, centroids):
+def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     """Eliminate the element blocks and factor the multiplier system
     (see the module docstring).
 
-    Returns ``solve(load, lift)``, the flux and scalar unknowns, as one
-    vector, for a load [b1; b2] and flux values `lift` on the unknowns
+    Returns ``solve(load)``, the flux and scalar unknowns, as one
+    vector, for a load [b1; b2] and zero values on the unknowns
     outside `free`.
     """
-    columns, signs = local_columns(family, topo)
     nt, k = columns.shape
-    n = flux_dof_count(family, topo.num_edges)
-    sides = np.bincount(columns.ravel(), minlength=n)
+    n = sides.size
 
     local = np.zeros((nt, k + 1, k + 1))
     local[:, :k, :k] = blocks
-    local[:, k, :k] = local[:, :k, k] = element_divergence(topo, family)
+    local[:, k, :k] = local[:, :k, k] = div
     inv = np.linalg.inv(local)
     del local
 
@@ -225,14 +225,13 @@ def _hybridize(topo, blocks, family, free, centroids):
     except RuntimeError as exc:  # SuperLU signals exact singularity
         raise SolverError("direct factorization failed: {}".format(exc))
 
-    def solve(load, lift):
+    def solve(load):
         # b1 split evenly between the sides of a column, b2 per element
         base = np.einsum("tij,tj->ti", inv, np.column_stack(
             [load[columns] / sides[columns], load[n:]]))
-        # sum_K E_K' y_K = sum_K E_K' lift: continuity across interior
-        # columns, the lifted value on Neumann ones
-        rhs = np.bincount(mult.ravel(),
-                          (jump * (base[:, :k] - lift[columns])).ravel(),
+        # sum_K E_K' y_K = 0: continuity across interior columns, no
+        # change on fixed ones
+        rhs = np.bincount(mult.ravel(), (jump * base[:, :k]).ravel(),
                           minlength=count + 1)[:count]
         lam = np.append(lu.solve(rhs), 0.0)
         local_sol = base - np.einsum("tij,tj->ti", inv[:, :, :k],
@@ -244,23 +243,18 @@ def _hybridize(topo, blocks, family, free, centroids):
     return solve
 
 
-def _saddle_operator(topo, blocks, family):
-    """[B C'; C 0] applied from the element blocks M_K and rows D_K:
-    x gathered per element, multiplied, and summed back per column."""
-    columns, _ = local_columns(family, topo)
-    div = element_divergence(topo, family)
-    n = flux_dof_count(family, topo.num_edges)
-    size = n + columns.shape[0]
-
-    def matvec(x):
-        x = np.ravel(x)
+def _saddle_operator(blocks, columns, div, n):
+    """``apply(x)``: [B C'; C 0] x from the element blocks M_K and rows
+    D_K, x gathered per element, multiplied, and summed back per column
+    (`n` flux columns)."""
+    def apply(x):
         local = x[columns]
         flux = np.einsum("tij,tj->ti", blocks, local) + div * x[n:, None]
         return np.concatenate([
             np.bincount(columns.ravel(), flux.ravel(), minlength=n),
             np.einsum("tj,tj->t", div, local)])
 
-    return spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+    return apply
 
 
 def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
@@ -274,7 +268,8 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
         The element mass blocks M_K (:func:`assembly.element_mass`, the
         array :func:`assembly.assemble_mass` scatters).  The residual
         is that of [B C'; C 0] applied from these blocks, on the free
-        unknowns and relative to ``lifted.rhs``.
+        unknowns and relative to the first defect
+        ``lifted.load`` - [B C'; C 0] ``lifted.sol``.
     centroids : (NT, 2) float array
         Element centroids.  They order the multipliers for the
         factorization (nested dissection) and change the solution by
@@ -288,9 +283,12 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
     start = time.perf_counter()
     free = lifted.free_dofs
     num_elements = topo.elem_to_edge.shape[0]
+    columns, signs = local_columns(family, topo)
+    div = element_divergence(topo, family)
+    n = flux_dof_count(family, topo.num_edges)
+    sides = np.bincount(columns.ravel(), minlength=n)
 
     # the diagonal of [B C'; C 0], summed from the block diagonals
-    columns, _ = local_columns(family, topo)
     zero_diag = int(np.count_nonzero(np.bincount(
         columns.ravel(), np.diagonal(blocks, axis1=1, axis2=2).ravel(),
         minlength=lifted.sol.size)[free] == 0))
@@ -300,26 +298,26 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
             "{} scalar-block entries; flux mass diagonal degenerate".format(
                 zero_diag, num_elements))
 
-    system = _saddle_operator(topo, blocks, family)
+    apply = _saddle_operator(blocks, columns, div, n)
 
     def defect(x):
-        """load - system @ sol for the free values x (all rows)."""
+        """load - [B C'; C 0] sol for the free values x (all rows)."""
         sol = lifted.sol.copy()
         sol[free] = x
-        return lifted.load - system @ sol
+        return lifted.load - apply(sol)
 
-    # relative to the lifted load, absolute for a zero one
-    norm_rhs = np.linalg.norm(lifted.rhs[free]) or 1.0
-    solve = _hybridize(topo, blocks, family, free, centroids)
-    x = solve(lifted.load, lifted.sol)[free]
-    r = defect(x)
-    # on badly shaped elements the elimination alone can miss the
-    # tolerance; refine against the saddle residual with the factor
-    for _ in range(2):
+    x = lifted.sol[free]
+    r = defect(x) if free.size < lifted.sol.size else lifted.load
+    # relative to the first defect, absolute for a zero one
+    norm_rhs = np.linalg.norm(r[free]) or 1.0
+    solve = _hybridize(blocks, columns, signs, div, sides, free, centroids)
+    # one step solves up to round-off; on badly shaped elements that can
+    # miss the tolerance, so refine against the saddle defect
+    for _ in range(3):
+        x = x + solve(r)[free]
+        r = defect(x)
         if np.linalg.norm(r[free]) <= tol * norm_rhs:
             break
-        x = x + solve(r, np.zeros_like(r))[free]
-        r = defect(x)
 
     if not np.isfinite(x).all():
         raise SolverError("solution contains non-finite entries")
@@ -331,10 +329,9 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
 
     sol = lifted.sol.copy()
     sol[free] = x
-    nf = sol.size - num_elements
     elapsed = time.perf_counter() - start
-    return MixedSolution(sol[:nf], sol[nf:], family, residual, "direct",
-                         elapsed, free.size)
+    return MixedSolution(sol[:n], sol[n:], family, residual, elapsed,
+                         free.size)
 
 
 def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
@@ -387,9 +384,7 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     b1 = dirichlet_term(mesh, boundary, problem.dirichlet, topo.num_edges,
                         family)
     b2 = source_term(mesh, coeffs, problem.source)
-    lifted = neumann_lift(mesh, boundary, problem.neumann,
-                          _saddle_operator(topo, blocks, family), b1, b2,
-                          family)
+    lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2, family)
     expected_free = (flux_dof_count(family, topo.num_edges)
                      + mesh.num_elements
                      - functions_fixed(boundary, family))

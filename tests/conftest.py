@@ -183,12 +183,11 @@ def saddle_solve(mesh, problem, family="bdm1"):
     b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet,
                            topo.num_edges, family)
     b2 = bf.source_term(mesh, coeffs, problem.source)
-    lifted = bf.neumann_lift(mesh, boundary, problem.neumann, system, b1, b2,
-                             family)
+    lifted = bf.neumann_lift(mesh, boundary, problem.neumann, b1, b2, family)
     free = lifted.free_dofs
+    rhs = lifted.load - system @ lifted.sol
     sol = lifted.sol.copy()
-    sol[free] = spla.splu(system[free][:, free].tocsc()).solve(
-        lifted.rhs[free])
+    sol[free] = spla.splu(system[free][:, free].tocsc()).solve(rhs[free])
     nf = bf.flux_dof_count(family, topo.num_edges)
     return sol[:nf], sol[nf:]
 

@@ -109,6 +109,25 @@ class TestValidation:
         with pytest.raises(bf.MeshError, match="int64"):
             bf.Mesh([[0, 0], [1, 0], [0, 1]], elements, markers)
 
+    @pytest.mark.parametrize("field, elements, markers", [
+        ("elements", [[0, 1, 2.7]], None),
+        ("elements", [[0, 1, np.nan]], None),
+        ("elements", [[0, 1, np.inf]], None),
+        ("elements", np.array([[0, 1, 1e30]]), None),
+        ("boundary_markers", [[0, 1, 2]], [[1, 0.5, 1]]),
+    ])
+    def test_non_integral_is_mesh_error(self, field, elements, markers):
+        # never truncated to an index or marker that validates
+        with pytest.raises(bf.MeshError, match=field + " must be integers"):
+            bf.Mesh([[0, 0], [1, 0], [0, 1]], elements, markers)
+
+    def test_integral_floats_accepted(self):
+        mesh = bf.Mesh([[0, 0], [1, 0], [0, 1]], [[0.0, 1.0, 2.0]],
+                       np.ones((1, 3)))
+        assert mesh.elements.dtype == np.int64
+        assert mesh.elements.tolist() == [[0, 1, 2]]
+        assert mesh.boundary_markers.tolist() == [[1, 1, 1]]
+
     def test_clockwise_element(self):
         mesh = bf.Mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], [[1, 1, 1]])
         assert any("area" in v for v in bf.validate_mesh(mesh))
