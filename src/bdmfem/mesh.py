@@ -49,16 +49,26 @@ class MeshTopologyError(MeshError):
     """Inconsistent mesh connectivity."""
 
 
+def _array(values, dtype, field):
+    """`values` as `dtype`; MeshError for `field` if ragged or non-numeric."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise MeshError("{} must be a rectangular array of numbers"
+                        .format(field)) from None
+
+
 def _integers(values, field):
     """`values` as an int64 array; MeshError naming `field` for an entry
     that is not an integer in int64's range (2.7, nan, inf, 2**63)."""
     message = "{} must be integers that fit in int64".format(field)
-    given = np.asarray(values)
+    given = _array(values, None, field)
     if given.dtype.kind == "f" and not (
             (given == np.trunc(given)) & (np.abs(given) < 2.0 ** 63)).all():
         raise MeshError(message)
     try:
-        return np.array(values, dtype=np.int64)
+        # from `values`: an int64 cast of `given` would wrap 2**63 around
+        return _array(values, np.int64, field)
     except OverflowError:
         raise MeshError(message) from None
 
@@ -81,7 +91,7 @@ class Mesh:
     """
 
     def __init__(self, nodes, elements, boundary_markers=None):
-        self.nodes = np.array(nodes, dtype=float)
+        self.nodes = _array(nodes, float, "nodes")
         self.elements = _integers(elements, "elements")
         if boundary_markers is None:
             boundary_markers = np.zeros_like(self.elements)

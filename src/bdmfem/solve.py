@@ -22,9 +22,10 @@ Gopalakrishnan 2004):
   B and is symmetric positive definite once some edge is Dirichlet;
   SuperLU factors it in a nested-dissection order taken from the mesh
   (George 1973; Lipton, Rose & Tarjan 1979) with no pivoting: the
-  element centroids are bisected at the median down to leaves of four
-  elements, and each multiplier is numbered at the tree node where its
-  elements part, leaves first and the top cut last;
+  element centroids are bisected at the median, one sort per level,
+  down to leaves of four elements, and each multiplier is numbered at
+  the tree node where its elements part, leaves first and the top cut
+  last;
 * flux and scalar are recovered element by element, and each flux
   column takes the mean of its sides' values.
 
@@ -52,7 +53,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import element_divergence, element_mass
-from .basis import flux_dof_count, functions_per_edge, local_columns
+from .basis import flux_dof_count, local_columns
 from .bc import dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients, check_coefficients
 from .mesh import build_edge_topology, classify_boundary, require_valid
@@ -98,68 +99,51 @@ class MixedSolution:
 _LEAF_SIZE = 4
 
 
-def _bisect(centroids):
-    """Recursive median bisection of the elements by their centroids.
-
-    Every part with more than _LEAF_SIZE elements is cut at its median
-    along its wider axis, all parts of a level at once.  Coordinate ties
-    keep the previous level's order, which for distinct centroids is
-    the order by the other coordinate, so the element labels never
-    decide a cut.  Both orders are kept per part (a k-d tree build over
-    presorted lists), so no level sorts.
-
-    Returns ``(pos, code, depth)``: each element's position in the leaf
-    order and its path from the root as `depth` bits, 1 for the upper
-    half of a cut (0 below a leaf).
-    """
-    nt = centroids.shape[0]
-    x, y = centroids[:, 0], centroids[:, 1]
-    lists = [np.lexsort((y, x)), np.lexsort((x, y))]
-    code = np.zeros(nt, dtype=np.int64)
-    starts = np.zeros(1, dtype=np.int64)
-    index = np.arange(nt)
-    depth = 0
-    while True:
-        sizes = np.diff(starts, append=nt)
-        split = sizes > _LEAF_SIZE
-        if not split.any():
-            break
-        by_x, by_y = lists
-        last = starts + sizes - 1
-        along_y = (y[by_y[last]] - y[by_y[starts]]
-                   > x[by_x[last]] - x[by_x[starts]])
-        part = np.repeat(np.arange(starts.size), sizes)
-        inner = index - starts[part]
-        lower = np.where(split, sizes // 2, sizes)
-        upper = np.zeros(nt, dtype=bool)
-        upper[np.where(along_y[part], by_y, by_x)[inner >= lower[part]]] = True
-        # stable partition of both lists: lower half first in each part
-        for i, order in enumerate(lists):
-            up = upper[order]
-            ups_before = np.cumsum(up) - up
-            ups_before -= ups_before[starts][part]
-            moved = np.empty_like(order)
-            moved[starts[part] + np.where(up, lower[part] + ups_before,
-                                          inner - ups_before)] = order
-            lists[i] = moved
-        code = 2 * code + upper
-        starts = np.sort(np.concatenate([starts, (starts + lower)[split]]))
-        depth += 1
-    pos = np.empty(nt, dtype=np.int64)
-    pos[lists[0]] = index
-    return pos, code, depth
-
-
 def _dissection_rank(centroids, columns, signs, joined):
     """Nested-dissection number of every multiplier (George 1973).
 
-    A multiplier sits at the node of the bisection tree where its
-    elements' leaves first separate, or in its element's leaf if it has
-    one side.  Nodes are numbered in post order, leaves first and the
-    top cut last; inside a node the multipliers follow their elements'
-    leaf positions, the lower one first and then the higher.
+    Every part of more than _LEAF_SIZE elements is cut at the median of
+    its centroids along its wider axis, all parts of a level in one
+    sort; coordinate ties go to the other coordinate, so the element
+    labels never decide a cut.  A multiplier sits at the tree node
+    where its elements' leaves separate, or in its element's leaf if it
+    has one side.  Nodes are numbered in post order, leaves first and
+    the top cut last; inside a node the multipliers follow their
+    elements' leaf positions, the lower one first, and a leaf is
+    ordered by (x, y).
     """
-    pos, code, depth = _bisect(centroids)
+    nt = centroids.shape[0]
+    x, y = centroids[:, 0], centroids[:, 1]
+    index = np.arange(nt)
+    # each element's rank by (x, y) and by (y, x)
+    ranks = np.empty((2, nt), dtype=np.int64)
+    ranks[0, np.lexsort((y, x))] = index
+    ranks[1, np.lexsort((x, y))] = index
+    # `order`: the elements sorted by their path from the root, one bit
+    # per level (1 for the upper half of a cut, 0 below a leaf); `path`
+    # holds the paths in that order
+    order = index
+    path = np.zeros(nt, dtype=np.int64)
+    depth = 0
+    while True:
+        starts = np.flatnonzero(np.diff(path, prepend=-1))
+        sizes = np.diff(starts, append=nt)
+        if (sizes <= _LEAF_SIZE).all():
+            break
+        extent = [np.maximum.reduceat(c, starts) - np.minimum.reduceat(
+            c, starts) for c in (x[order], y[order])]
+        along = (extent[1] > extent[0]).astype(np.int64)
+        part = np.repeat(np.arange(starts.size), sizes)
+        order = order[np.argsort(path * nt + ranks[along[part], order],
+                                 kind="stable")]
+        lower = np.where(sizes > _LEAF_SIZE, sizes // 2, sizes)
+        path = 2 * path + (index - starts[part] >= lower[part])
+        depth += 1
+    code = np.empty(nt, dtype=np.int64)
+    code[order] = path
+    pos = np.empty(nt, dtype=np.int64)
+    pos[np.argsort(code * nt + ranks[0], kind="stable")] = index
+
     # the plus and minus side of every column; signs are opposite on
     # the two sides of an interior one
     plus = np.full(joined.size, -1)
@@ -282,21 +266,17 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
     """
     start = time.perf_counter()
     free = lifted.free_dofs
-    num_elements = topo.elem_to_edge.shape[0]
     columns, signs = local_columns(family, topo)
     div = element_divergence(topo, family)
     n = flux_dof_count(family, topo.num_edges)
     sides = np.bincount(columns.ravel(), minlength=n)
 
-    # the diagonal of [B C'; C 0], summed from the block diagonals
-    zero_diag = int(np.count_nonzero(np.bincount(
-        columns.ravel(), np.diagonal(blocks, axis1=1, axis2=2).ravel(),
-        minlength=lifted.sol.size)[free] == 0))
-    if zero_diag != num_elements:
-        raise SolverError(
-            "reduced matrix has {} zero diagonal entries, expected the "
-            "{} scalar-block entries; flux mass diagonal degenerate".format(
-                zero_diag, num_elements))
+    # the flux mass diagonal, summed from the block diagonals
+    diagonal = np.bincount(columns.ravel(), np.diagonal(
+        blocks, axis1=1, axis2=2).ravel(), minlength=n)
+    if not diagonal[free[free < n]].all():
+        raise SolverError("flux mass diagonal degenerate: a free flux "
+                          "column has a zero diagonal entry")
 
     apply = _saddle_operator(blocks, columns, div, n)
 
@@ -385,16 +365,4 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
                         family)
     b2 = source_term(mesh, coeffs, problem.source)
     lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2, family)
-    expected_free = (flux_dof_count(family, topo.num_edges)
-                     + mesh.num_elements
-                     - functions_fixed(boundary, family))
-    if lifted.free_dofs.size != expected_free:
-        raise SolverError(
-            "free unknown count {} does not match {}".format(
-                lifted.free_dofs.size, expected_free))
     return solve_reduced(lifted, topo, blocks, centroids, family, tol)
-
-
-def functions_fixed(boundary, family="bdm1"):
-    """Number of flux unknowns pinned by the Neumann lift."""
-    return boundary.num_neumann * functions_per_edge(family)

@@ -121,6 +121,23 @@ class TestValidation:
         with pytest.raises(bf.MeshError, match=field + " must be integers"):
             bf.Mesh([[0, 0], [1, 0], [0, 1]], elements, markers)
 
+    @pytest.mark.parametrize("field, nodes, elements, markers", [
+        ("nodes", [[0, 0], [1, 0], [0]], [[0, 1, 2]], None),
+        ("nodes", [[0, 0], [1, "a"], [0, 1]], [[0, 1, 2]], None),
+        ("elements", [[0, 0], [1, 0], [0, 1]], [[0, 1], [2]], None),
+        ("elements", [[0, 0], [1, 0], [0, 1]], [[0, 1, "a"]], None),
+        ("elements", [[0, 0], [1, 0], [0, 1]], [[0, 1, None]], None),
+        ("boundary_markers", [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]],
+         [[1, 1], [1]]),
+        ("boundary_markers", [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]],
+         [[1, "a", 1]]),
+    ])
+    def test_ragged_or_non_numeric_is_mesh_error(self, field, nodes,
+                                                 elements, markers):
+        with pytest.raises(bf.MeshError,
+                           match=field + " must be a rectangular array"):
+            bf.Mesh(nodes, elements, markers)
+
     def test_integral_floats_accepted(self):
         mesh = bf.Mesh([[0, 0], [1, 0], [0, 1]], [[0.0, 1.0, 2.0]],
                        np.ones((1, 3)))

@@ -366,6 +366,77 @@ class TestSaddleOperator:
             assert sol.residual <= 1e-10
 
 
+def _reference_dissection_rank(centroids, columns, joined):
+    """Nested-dissection number of every joined column by plain
+    recursion: a part is sorted along its wider extent (ties by the
+    other coordinate) and cut at len // 2, a leaf of at most four
+    elements is ordered by (x, y), and the multipliers follow the post
+    order of the node where their elements part, then (min, max) of
+    those elements' leaf positions, then the column."""
+    x, y = centroids.T
+    path, leaf_pos, post = {}, {}, {}
+
+    def cut(elements, bits):
+        if len(elements) <= 4:
+            for t in sorted(elements, key=lambda t: (x[t], y[t])):
+                path[t] = bits
+                leaf_pos[t] = len(leaf_pos)
+        else:
+            if np.ptp(y[elements]) > np.ptp(x[elements]):
+                elements = sorted(elements, key=lambda t: (y[t], x[t]))
+            else:
+                elements = sorted(elements, key=lambda t: (x[t], y[t]))
+            half = len(elements) // 2
+            cut(elements[:half], bits + (0,))
+            cut(elements[half:], bits + (1,))
+        post[bits] = len(post)
+
+    cut(list(range(len(centroids))), ())
+    owners = {}
+    for t, row in enumerate(columns):
+        for column in row:
+            owners.setdefault(column, []).append(t)
+
+    def key(column):
+        first, last = owners[column][0], owners[column][-1]
+        u, v = path[first], path[last]
+        common = 0
+        while common < min(len(u), len(v)) and u[common] == v[common]:
+            common += 1
+        a, b = sorted((leaf_pos[first], leaf_pos[last]))
+        return post[u[:common]], a, b
+
+    joined = np.flatnonzero(joined)
+    order = sorted(range(joined.size), key=lambda i: key(joined[i]))
+    rank = np.empty(joined.size, dtype=np.int64)
+    rank[order] = np.arange(joined.size)
+    return rank
+
+
+@pytest.mark.parametrize("family", bf.FAMILIES)
+@pytest.mark.parametrize("mesh", ["paper-0", "paper-1", "paper-2", "paper-3",
+                                  "random-3", "random-11", "random-19",
+                                  "random-29"])
+def test_dissection_rank_matches_reference(mesh, family):
+    kind, number = mesh.split("-")
+    mesh = (relabel(_paper_level(int(number)), 7) if kind == "paper"
+            else random_mesh(seed=int(number)))
+    topo = bf.build_edge_topology(mesh)
+    boundary = bf.classify_boundary(mesh, topo)
+    columns, signs = bf.basis.local_columns(family, topo)
+    n = bf.flux_dof_count(family, topo.num_edges)
+    joined = np.bincount(columns.ravel(), minlength=n) == 2
+    for neumann in bf.basis.flux_columns(family, boundary.ind_neumann,
+                                         topo.num_edges):
+        joined[neumann] = True
+    # as in solve_problem: summed in coordinate order
+    centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
+    rank = bf.solve._dissection_rank(centroids, columns, signs, joined)
+    assert np.array_equal(rank,
+                          _reference_dissection_rank(centroids, columns,
+                                                     joined))
+
+
 def _max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
