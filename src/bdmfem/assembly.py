@@ -9,7 +9,7 @@ discrete problem is
 where B_mn = (alpha^-1 phi_m, phi_n) and C_lm = -(div phi_m, 1)_{K_l}.
 All integrals reduce to closed forms.  Every flux function restricted
 to an element is lambda_p (b, -a) / (2|K|) for some vertex p and
-gradient coefficients (a, b) (:func:`basis.flux_functions`), so two of
+gradient coefficients (a, b) (:class:`basis.OrientedEdgeBasis`), so two of
 them, (p, a, b) and (q, a', b'), give
 
     (alpha^-1 phi, phi') = c (1 + d(p, q)) (a a' + b b')
@@ -27,8 +27,8 @@ P = [I; I].  B and C are those blocks scattered as coordinate triplets
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (flux_dof_count, flux_functions, functions_per_edge,
-                    local_columns, resolve_orientation)
+from .basis import (flux_dof_count, functions_per_edge, local_columns,
+                    resolve_orientation)
 
 __all__ = [
     "element_mass",
@@ -52,13 +52,11 @@ def element_mass(topo, coeffs, inv_alpha, family="bdm1"):
     inv_alpha : (NT,) float array
         Reciprocal diffusion coefficient, one value per element.
     """
-    oriented = resolve_orientation(topo, coeffs)
+    o = resolve_orientation(topo, coeffs)
     scale = np.asarray(inv_alpha, dtype=float) / (48 * coeffs.area)
-    # phi_1 of the three slots, then phi_2: (NT, 6) arrays
-    p, a, b = (np.concatenate(part, axis=1)
-               for part in zip(*flux_functions(oriented)))
-    blocks = (scale[:, None, None] * (1 + (p[:, :, None] == p[:, None, :]))
-              * (a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :]))
+    blocks = (scale[:, None, None] * (1 + (o.p[:, :, None] == o.p[:, None, :]))
+              * (o.a[:, :, None] * o.a[:, None, :]
+                 + o.b[:, :, None] * o.b[:, None, :]))
     if functions_per_edge(family) == 1:
         blocks = ((blocks[:, :3, :3] + blocks[:, 3:, 3:])
                   + (blocks[:, :3, 3:] + blocks[:, 3:, :3]))

@@ -23,11 +23,12 @@ The same functions restricted to both elements sharing E have matching
 normal traces, so coefficient vectors indexed by global edges describe
 H(div)-conforming fields.
 
-Assembly and flux evaluation read the bdm1 pair from one table
-(:func:`flux_functions`); rt0 ties both functions of an edge to one
-unknown (:func:`flux_columns`), and duplicate summation yields P^T B P,
-C P and P^T b1 for P = [I; I].  :func:`eval_basis` and
-:func:`divergence` spell both families out as a reference for tests.
+Assembly and flux evaluation read the bdm1 functions of every element
+from one table (:class:`OrientedEdgeBasis`, in :func:`local_columns`
+order); rt0 ties both functions of an edge to one unknown
+(:func:`flux_columns`), and duplicate summation yields P^T B P, C P and
+P^T b1 for P = [I; I].  :func:`eval_basis` and :func:`divergence` spell
+both families out as a reference for tests.
 """
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "FAMILIES",
     "OrientedEdgeBasis",
     "resolve_orientation",
-    "flux_functions",
     "flux_dof_count",
     "functions_per_edge",
     "flux_columns",
@@ -82,24 +82,21 @@ def flux_dof_count(family, num_edges):
 
 
 class OrientedEdgeBasis:
-    """Barycentric coefficients gathered per element edge slot, with the
-    slot's two vertices put into global edge order.
+    """The six bdm1 functions of every element as one table.
 
-    For element t and local edge i, (i1, i2)[t, i] are the local vertex
-    indices (0..2) of the edge's global start and end vertex, and
-    a1, b1, a2, b2 the corresponding gradient coefficients.  When
-    sign_edge is +1 the local counterclockwise direction already is the
-    global one; when it is -1 the two vertices are swapped here.
+    p, a and b are (NT, 6) arrays in :func:`local_columns` order, phi_1
+    of slots 0-2 and then phi_2: function j of element t is
+    lambda_p (b, -a) / (2|K|) for the local vertex p = p[t, j], with
+    (a, b) the gradient coefficients of the edge's other vertex and
+    phi_2's sign folded in.  Slot i runs from local vertex p[t, i] to
+    p[t, 3 + i] in global edge order.  elem_to_edge, sign_edge, area
+    and num_edges come from the topology and coefficients.
     """
 
-    def __init__(self, i1, i2, a1, b1, a2, b2, elem_to_edge, sign_edge,
-                 area, num_edges):
-        self.i1 = i1
-        self.i2 = i2
-        self.a1 = a1
-        self.b1 = b1
-        self.a2 = a2
-        self.b2 = b2
+    def __init__(self, p, a, b, elem_to_edge, sign_edge, area, num_edges):
+        self.p = p
+        self.a = a
+        self.b = b
         self.elem_to_edge = elem_to_edge
         self.sign_edge = sign_edge
         self.area = area
@@ -107,31 +104,26 @@ class OrientedEdgeBasis:
 
 
 def resolve_orientation(topo, coeffs):
-    """Build the :class:`OrientedEdgeBasis` tables for a whole mesh."""
+    """Build the :class:`OrientedEdgeBasis` table for a whole mesh."""
     nt = topo.elem_to_edge.shape[0]
     if coeffs.area.shape[0] != nt:
         raise MeshTopologyError(
             "coefficients for {} elements, edge topology for {}; were they "
             "built for another mesh?".format(coeffs.area.shape[0], nt))
-    ii1 = np.broadcast_to(LOCAL_EDGES[:, 0], (nt, 3))
-    ii2 = np.broadcast_to(LOCAL_EDGES[:, 1], (nt, 3))
     ascending = topo.sign_edge > 0
-    i1 = np.where(ascending, ii1, ii2)
-    i2 = np.where(ascending, ii2, ii1)
-    a1 = np.take_along_axis(coeffs.a, i1, axis=1)
-    b1 = np.take_along_axis(coeffs.b, i1, axis=1)
-    a2 = np.take_along_axis(coeffs.a, i2, axis=1)
-    b2 = np.take_along_axis(coeffs.b, i2, axis=1)
-    return OrientedEdgeBasis(i1, i2, a1, b1, a2, b2, topo.elem_to_edge,
-                             topo.sign_edge, coeffs.area, topo.num_edges)
+    lo, hi = LOCAL_EDGES[:, 0], LOCAL_EDGES[:, 1]
+    p = np.concatenate([np.where(ascending, lo, hi),
+                        np.where(ascending, hi, lo)], axis=1)
 
+    def at_other(c):
+        """c of the other vertex of each function's edge, phi_2's negated."""
+        at_lo, at_hi = c[:, lo], c[:, hi]
+        return np.concatenate([np.where(ascending, at_hi, at_lo),
+                               -np.where(ascending, at_lo, at_hi)], axis=1)
 
-def flux_functions(oriented):
-    """phi_1 and phi_2 of every edge slot as (p, a, b) triples of (NT, 3)
-    arrays, each meaning lambda_p (b, -a) / (2|K|); phi_2's sign is
-    folded into its a and b."""
-    o = oriented
-    return (o.i1, o.a2, o.b2), (o.i2, -o.a1, -o.b1)
+    return OrientedEdgeBasis(p, at_other(coeffs.a), at_other(coeffs.b),
+                             topo.elem_to_edge, topo.sign_edge, coeffs.area,
+                             topo.num_edges)
 
 
 def _check_barycentric(w):
@@ -162,17 +154,15 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
         (k = 2 for "bdm1", 1 for "rt0").
     """
     w = _check_barycentric(w)
-    i1 = oriented.i1[element, slot]
-    i2 = oriented.i2[element, slot]
+    pair = [slot, 3 + slot]
     inv2a = 1.0 / (2 * oriented.area[element])
-    rot1 = np.array([oriented.b1[element, slot],
-                     -oriented.a1[element, slot]]) * inv2a
-    rot2 = np.array([oriented.b2[element, slot],
-                     -oriented.a2[element, slot]]) * inv2a
+    rot = np.column_stack([oriented.b[element, pair],
+                           -oriented.a[element, pair]]) * inv2a
+    values = w[oriented.p[element, pair], None] * rot
     if family == "bdm1":
-        return np.array([w[i1] * rot2, -w[i2] * rot1])
+        return values
     if family == "rt0":
-        return np.array([w[i1] * rot2 - w[i2] * rot1])
+        return values.sum(axis=0, keepdims=True)
     raise ValueError("unknown element family {!r}".format(family))
 
 
@@ -191,8 +181,8 @@ def normal_trace(mesh, oriented, element, slot, edge_slot, t, family="bdm1"):
     """
     if not 0 <= t <= 1:
         raise ValueError("edge parameter must lie in [0, 1]")
-    j1 = oriented.i1[element, edge_slot]
-    j2 = oriented.i2[element, edge_slot]
+    j1 = oriented.p[element, edge_slot]
+    j2 = oriented.p[element, 3 + edge_slot]
     w = np.zeros(3)
     w[j1] = 1 - t
     w[j2] = t

@@ -171,7 +171,7 @@ def cmd_solve(args):
                 for k, v in enumerate(data):
                     fh.write("{},{},{:.17e}\n".format(name, k, v))
     if args.dump_matrix:
-        inv_alpha = 1.0 / problem.alpha(mesh.nodes[mesh.elements].mean(axis=1))
+        inv_alpha = 1.0 / solve._element_alpha(mesh, problem)[1]
         system = assembly.assemble_system(
             assembly.assemble_mass(topo, coeffs, inv_alpha, args.family),
             assembly.assemble_divergence(topo, args.family))

@@ -48,14 +48,6 @@ class BarycentricCoefficients:
         for arr in (a, b, area):
             arr.setflags(write=False)
 
-    def grad(self):
-        """Gradients of the barycentric coordinates, shape (NT, 3, 2)."""
-        return np.stack([self.a, self.b], axis=-1) / (2 * self.area)[:, None, None]
-
-    def rot(self):
-        """Rotated gradients (b_i, -a_i) / (2|K|), shape (NT, 3, 2)."""
-        return np.stack([self.b, -self.a], axis=-1) / (2 * self.area)[:, None, None]
-
 
 class EdgeGeometry:
     """Lengths, unit tangents and unit normals of the global edges.

@@ -50,8 +50,11 @@ class MeshTopologyError(MeshError):
 
 
 def _array(values, dtype, field):
-    """`values` as `dtype`; MeshError for `field` if ragged or non-numeric."""
+    """`values` as `dtype`; MeshError for `field` if ragged or non-numeric,
+    strings included, though numpy would parse "1" as a number."""
     try:
+        if np.asarray(values).dtype.kind in "SU":
+            raise ValueError
         return np.array(values, dtype=dtype)
     except (TypeError, ValueError):
         raise MeshError("{} must be a rectangular array of numbers"

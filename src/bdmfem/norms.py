@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (flux_columns, flux_dof_count, flux_functions,
-                    resolve_orientation)
+from .basis import flux_columns, flux_dof_count, resolve_orientation
 from .geometry import (barycentric_gradients, check_coefficients,
                        edge_geometry)
 from .mesh import (build_edge_topology, check_topology, require_valid,
                    uniform_refine)
-from .solve import solve_problem
+from .solve import _element_alpha, solve_problem
 
 __all__ = [
     "TriangleQuadrature",
@@ -128,14 +127,13 @@ def eval_sigma_h(flux, oriented, lam, family="bdm1", elements=None):
                            oriented.num_edges)
     inv2a = 1.0 / (2 * oriented.area[elements])
     rows = np.arange(lam.shape[0])
+    p, a, b = (x[elements] for x in (oriented.p, oriented.a, oriented.b))
 
     out = np.zeros((lam.shape[0], 2))
-    for col, (p, a, b) in zip(columns, flux_functions(oriented)):
-        p, a, b = p[elements], a[elements], b[elements]
-        for i in range(3):
-            w = flux[col[:, i]] * lam[rows, p[:, i]] * inv2a
-            out[:, 0] += w * b[:, i]
-            out[:, 1] -= w * a[:, i]
+    for j in range(6):
+        w = flux[columns[j // 3][:, j % 3]] * lam[rows, p[:, j]] * inv2a
+        out[:, 0] += w * b[:, j]
+        out[:, 1] -= w * a[:, j]
     return out
 
 
@@ -154,7 +152,8 @@ def compute_errors(mesh, topo, coeffs, solution, problem):
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
     ValueError
-        If `solution` does not have this mesh's number of unknowns.
+        If `solution` does not have this mesh's number of unknowns, or
+        alpha is not positive and finite on every element.
     """
     if problem.exact_sigma is None or problem.exact_u is None:
         raise ValueError(
@@ -170,8 +169,7 @@ def compute_errors(mesh, topo, coeffs, solution, problem):
                              solution.sigma.size, solution.u.size, *counts))
 
     oriented = resolve_orientation(topo, coeffs)
-    centroids = mesh.nodes[mesh.elements].mean(axis=1)
-    inv_alpha = 1.0 / np.asarray(problem.alpha(centroids), dtype=float)
+    inv_alpha = 1.0 / _element_alpha(mesh, problem)[1]
     quad = TRI_QUADRATURE_DEGREE6
     nt = mesh.num_elements
 

@@ -48,6 +48,11 @@ class ProblemDefinition:
         return "ProblemDefinition({!r})".format(self.name)
 
 
+def _top_flux(sigma):
+    """Outward normal flux sigma . (0, 1) on the top boundary y = 1."""
+    return lambda p: sigma(p)[:, 1]
+
+
 # -- piecewise-coefficient example on (-1,1)^2 ------------------------------
 # alpha jumps from 10 to 1 across x = 0; u and sigma = -alpha grad u are
 # polynomial on each half and sigma . n is continuous across the jump.
@@ -75,11 +80,6 @@ def _pw_sigma(p):
     return np.column_stack([s1, s2])
 
 
-def _pw_neumann(p):
-    x = p[:, 0]
-    return np.where(x < 0, -2 * x * x - 10, -2 * x * x - 1)
-
-
 # -- linear-flux patch problem ----------------------------------------------
 # sigma = (x, y) lies in every flux space, so the discrete flux is exact
 # up to round-off on any mesh; u = -(x^2+y^2)/2 keeps a first-order error.
@@ -100,10 +100,6 @@ def _patch_sigma(p):
     return p.copy()
 
 
-def _patch_neumann(p):
-    return p[:, 1]
-
-
 # -- smooth product-of-sines problem ----------------------------------------
 
 def _smooth_source(p):
@@ -120,17 +116,13 @@ def _smooth_sigma(p):
                                      np.sin(np.pi * x) * np.cos(np.pi * y)])
 
 
-def _smooth_neumann(p):
-    return -np.pi * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])
-
-
 PROBLEMS = {
     "paper-example": ProblemDefinition(
         name="paper-example",
         alpha=_pw_alpha,
         source=_pw_source,
         dirichlet=_pw_u,
-        neumann=_pw_neumann,
+        neumann=_top_flux(_pw_sigma),
         exact_u=_pw_u,
         exact_sigma=_pw_sigma,
         description="piecewise diffusion coefficient (10 for x<0, 1 for "
@@ -142,7 +134,7 @@ PROBLEMS = {
         alpha=_one,
         source=_patch_source,
         dirichlet=_patch_u,
-        neumann=_patch_neumann,
+        neumann=_top_flux(_patch_sigma),
         exact_u=_patch_u,
         exact_sigma=_patch_sigma,
         description="linear exact flux sigma=(x,y); reproduced exactly by "
@@ -153,7 +145,7 @@ PROBLEMS = {
         alpha=_one,
         source=_smooth_source,
         dirichlet=_smooth_u,
-        neumann=_smooth_neumann,
+        neumann=_top_flux(_smooth_sigma),
         exact_u=_smooth_u,
         exact_sigma=_smooth_sigma,
         description="u = sin(pi x) sin(pi y) with unit coefficient",

@@ -279,27 +279,20 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
                           "column has a zero diagonal entry")
 
     apply = _saddle_operator(blocks, columns, div, n)
-
-    def defect(x):
-        """load - [B C'; C 0] sol for the free values x (all rows)."""
-        sol = lifted.sol.copy()
-        sol[free] = x
-        return lifted.load - apply(sol)
-
-    x = lifted.sol[free]
-    r = defect(x) if free.size < lifted.sol.size else lifted.load
+    sol = lifted.sol.copy()
+    r = lifted.load - apply(sol) if free.size < sol.size else lifted.load
     # relative to the first defect, absolute for a zero one
     norm_rhs = np.linalg.norm(r[free]) or 1.0
     solve = _hybridize(blocks, columns, signs, div, sides, free, centroids)
     # one step solves up to round-off; on badly shaped elements that can
     # miss the tolerance, so refine against the saddle defect
     for _ in range(3):
-        x = x + solve(r)[free]
-        r = defect(x)
+        sol[free] += solve(r)[free]
+        r = lifted.load - apply(sol)
         if np.linalg.norm(r[free]) <= tol * norm_rhs:
             break
 
-    if not np.isfinite(x).all():
+    if not np.isfinite(sol).all():
         raise SolverError("solution contains non-finite entries")
     residual = np.linalg.norm(r[free]) / norm_rhs
     if residual > tol:
@@ -307,11 +300,22 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
             "relative residual {:.3e} above tolerance {:.1e}; system "
             "singular or severely ill-conditioned".format(residual, tol))
 
-    sol = lifted.sol.copy()
-    sol[free] = x
     elapsed = time.perf_counter() - start
     return MixedSolution(sol[:n], sol[n:], family, residual, elapsed,
                          free.size)
+
+
+def _element_alpha(mesh, problem):
+    """Element centroids, summed in coordinate order so that the vertex
+    order leaves no round-off, and the problem's alpha at them, which
+    must be positive and finite (ValueError otherwise)."""
+    centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
+    alpha = np.asarray(problem.alpha(centroids), dtype=float)
+    if not (np.isfinite(alpha).all() and (alpha > 0).all()):
+        raise ValueError(
+            "problem {!r}: alpha must be positive and finite on every "
+            "element".format(problem.name))
+    return centroids, alpha
 
 
 def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
@@ -337,7 +341,8 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     Raises
     ------
     ValueError
-        If `method` is not "direct".
+        If `method` is not "direct", or alpha is not positive and
+        finite on every element.
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
     """
@@ -352,14 +357,7 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
         check_coefficients(mesh, coeffs)
     boundary = classify_boundary(mesh, topo)
 
-    # summed in coordinate order, so the vertex order leaves no round-off
-    centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
-    alpha = np.asarray(problem.alpha(centroids), dtype=float)
-    if not (np.isfinite(alpha).all() and (alpha > 0).all()):
-        raise ValueError(
-            "problem {!r}: alpha must be positive and finite on every "
-            "element".format(problem.name))
-
+    centroids, alpha = _element_alpha(mesh, problem)
     blocks = element_mass(topo, coeffs, 1.0 / alpha, family)
     b1 = dirichlet_term(mesh, boundary, problem.dirichlet, topo.num_edges,
                         family)

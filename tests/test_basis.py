@@ -26,13 +26,13 @@ class TestOrientation:
     def test_swapped_slot(self, paper_oriented):
         # element 0 traverses its first edge against global order
         assert paper_oriented.sign_edge[0, 0] == -1
-        assert paper_oriented.i1[0, 0] == 2
-        assert paper_oriented.i2[0, 0] == 1
+        assert paper_oriented.p[0, 0] == 2
+        assert paper_oriented.p[0, 3] == 1
 
     def test_vertices_ascend_globally(self, paper_mesh, paper_oriented):
         rows = np.arange(paper_mesh.num_elements)[:, None]
-        v1 = paper_mesh.elements[rows, paper_oriented.i1]
-        v2 = paper_mesh.elements[rows, paper_oriented.i2]
+        v1 = paper_mesh.elements[rows, paper_oriented.p[:, :3]]
+        v2 = paper_mesh.elements[rows, paper_oriented.p[:, 3:]]
         assert (v1 < v2).all()
 
     def test_random_mesh_ascends(self):
@@ -40,8 +40,8 @@ class TestOrientation:
         topo = bf.build_edge_topology(mesh)
         oriented = bf.resolve_orientation(topo, bf.barycentric_gradients(mesh))
         rows = np.arange(mesh.num_elements)[:, None]
-        v1 = mesh.elements[rows, oriented.i1]
-        v2 = mesh.elements[rows, oriented.i2]
+        v1 = mesh.elements[rows, oriented.p[:, :3]]
+        v2 = mesh.elements[rows, oriented.p[:, 3:]]
         assert (v1 < v2).all()
         assert np.array_equal(np.sort(np.stack([v1, v2], -1).reshape(-1, 2),
                                       axis=0),

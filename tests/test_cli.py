@@ -199,11 +199,12 @@ class TestSolve:
         capsys.readouterr()
 
     def test_bad_tolerance_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--mesh", "builtin:paper",
-                  "--problem", "paper-example", "--tol", "5"])
-        assert err.value.code == 2
-        capsys.readouterr()
+        for tol, message in (("5", "lie in (0, 1)"), ("tiny", "be a number")):
+            with pytest.raises(SystemExit) as err:
+                main(["solve", "--mesh", "builtin:paper",
+                      "--problem", "paper-example", "--tol", tol])
+            assert err.value.code == 2
+            assert "tolerance must " + message in capsys.readouterr().err
 
     def test_singular_system_is_solver_error(self, tmp_path, capsys):
         # every boundary edge Neumann: u is only determined up to a
@@ -266,11 +267,12 @@ class TestConverge:
         assert runs[0] == runs[1]
 
     def test_levels_validated(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["converge", "--mesh", "builtin:paper",
-                  "--problem", "paper-example", "--levels", "0"])
-        assert err.value.code == 2
-        capsys.readouterr()
+        for levels, message in (("0", "at least 1"), ("two", "an integer")):
+            with pytest.raises(SystemExit) as err:
+                main(["converge", "--mesh", "builtin:paper",
+                      "--problem", "paper-example", "--levels", levels])
+            assert err.value.code == 2
+            assert "levels must be " + message in capsys.readouterr().err
 
 
 def test_module_entry_point():

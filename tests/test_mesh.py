@@ -82,6 +82,8 @@ class TestTopology:
                        [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
         with pytest.raises(bf.MeshTopologyError, match=r"\(0, 1\)"):
             bf.build_edge_topology(mesh)
+        assert bf.validate_mesh(mesh)[-1] == ("edge (0, 1): shared by 3 "
+                                              "elements")
 
 
 class TestValidation:
@@ -131,11 +133,34 @@ class TestValidation:
          [[1, 1], [1]]),
         ("boundary_markers", [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]],
          [[1, "a", 1]]),
+        # numeric strings too, though numpy would parse them
+        ("nodes", [[0, 0], [1, 0], [0, "1"]], [[0, 1, 2]], None),
+        ("elements", [[0, 0], [1, 0], [0, 1]], [[0, 1, "2"]], None),
+        ("elements", [[0, 0], [1, 0], [0, 1]], [[0, 1, "2.5"]], None),
+        ("boundary_markers", [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]],
+         [["1", "1", 1]]),
     ])
     def test_ragged_or_non_numeric_is_mesh_error(self, field, nodes,
                                                  elements, markers):
         with pytest.raises(bf.MeshError,
                            match=field + " must be a rectangular array"):
+            bf.Mesh(nodes, elements, markers)
+
+    @pytest.mark.parametrize("message, nodes, elements, markers", [
+        (r"nodes must be an \(N, 2\)", [0, 0, 1, 0, 0, 1], [[0, 1, 2]],
+         None),
+        (r"nodes must be an \(N, 2\)", [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+         [[0, 1, 2]], None),
+        (r"elements must be an \(NT, 3\)", [[0, 0], [1, 0], [0, 1]],
+         [0, 1, 2], None),
+        (r"elements must be an \(NT, 3\)", [[0, 0], [1, 0], [0, 1]],
+         [[0, 1]], None),
+        ("boundary_markers must match", [[0, 0], [1, 0], [0, 1]],
+         [[0, 1, 2]], [1, 1, 1]),
+    ])
+    def test_wrong_shape_is_mesh_error(self, message, nodes, elements,
+                                       markers):
+        with pytest.raises(bf.MeshError, match=message):
             bf.Mesh(nodes, elements, markers)
 
     def test_integral_floats_accepted(self):
@@ -238,7 +263,8 @@ class TestBoundary:
                                       "solve-coeffs", "errors",
                                       "solve-coeffs-same-size",
                                       "errors-coeffs-same-size",
-                                      "errors-topo-same-size"])
+                                      "errors-topo-same-size",
+                                      "orientation"])
     def test_data_of_coarser_mesh_rejected(self, paper_mesh, paper_topo,
                                            paper_coeffs, call):
         # topology or coefficients of the base mesh passed with its
@@ -269,6 +295,8 @@ class TestBoundary:
                 other, bf.build_edge_topology(fine),
                 bf.barycentric_gradients(other),
                 bf.solve_problem(other, problem), problem),
+            "orientation": lambda: bf.resolve_orientation(paper_topo,
+                                                          fine_coeffs),
         }
         with pytest.raises(bf.MeshTopologyError, match="another mesh"):
             calls[call]()

@@ -236,6 +236,21 @@ class TestComputeErrors:
             bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
                               solution, blind)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_bad_alpha_rejected(self, paper_mesh, paper_topo, paper_coeffs,
+                                value):
+        # as solve_problem refuses it, not an inf or nan error
+        problem = bf.get_problem("paper-example")
+        solution = bf.solve_problem(paper_mesh, problem, topo=paper_topo,
+                                    coeffs=paper_coeffs)
+        bad = bf.ProblemDefinition(
+            "bad", alpha=lambda p: np.full(len(p), value),
+            source=problem.source, dirichlet=problem.dirichlet,
+            exact_u=problem.exact_u, exact_sigma=problem.exact_sigma)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
+                              solution, bad)
+
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("solved_on", ["finer", "coarser"])
     def test_solution_of_another_mesh(self, paper_mesh, solved_on, family):
