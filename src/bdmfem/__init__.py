@@ -14,10 +14,10 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "assembly": "assemble_divergence assemble_mass assemble_system "
                 "write_matrix_market",
-    "basis": "FAMILIES OrientedEdgeBasis divergence eval_basis flux_dof_count "
-             "functions_per_edge normal_trace resolve_orientation",
+    "basis": "FAMILIES OrientedEdgeBasis eval_basis flux_dof_count "
+             "functions_per_edge resolve_orientation",
     "bc": "EDGE_GAUSS2_POSITIONS EDGE_GAUSS2_WEIGHTS LiftedSystem "
-          "dirichlet_term edge_moment_matrix neumann_lift source_term",
+          "dirichlet_term neumann_lift source_term",
     "geometry": "BarycentricCoefficients DegenerateElementError EdgeGeometry "
                 "barycentric_coordinates barycentric_gradients edge_geometry",
     "mesh": "BoundaryEdges EdgeTopology Mesh MeshError MeshFormatError "

@@ -27,8 +27,8 @@ Assembly and flux evaluation read the bdm1 functions of every element
 from one table (:class:`OrientedEdgeBasis`, in :func:`local_columns`
 order); rt0 ties both functions of an edge to one unknown
 (:func:`flux_columns`), and duplicate summation yields P^T B P, C P and
-P^T b1 for P = [I; I].  :func:`eval_basis` and :func:`divergence` spell
-both families out as a reference for tests.
+P^T b1 for P = [I; I].  :func:`eval_basis` spells both families out
+point by point; a flux vector's length fixes its family.
 """
 
 import numpy as np
@@ -44,8 +44,6 @@ __all__ = [
     "flux_columns",
     "local_columns",
     "eval_basis",
-    "normal_trace",
-    "divergence",
 ]
 
 #: Families the assembly understands.
@@ -79,6 +77,15 @@ def local_columns(family, topo):
 def flux_dof_count(family, num_edges):
     """Total number of flux unknowns for a mesh with `num_edges` edges."""
     return functions_per_edge(family) * num_edges
+
+
+def _family_of(num_flux, num_edges):
+    """The family with `num_flux` flux unknowns on `num_edges` edges."""
+    for family in FAMILIES:
+        if flux_dof_count(family, num_edges) == num_flux:
+            return family
+    raise ValueError("{} flux unknowns fit no family on {} edges".format(
+        num_flux, num_edges))
 
 
 class OrientedEdgeBasis:
@@ -163,45 +170,4 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
         return values
     if family == "rt0":
         return values.sum(axis=0, keepdims=True)
-    raise ValueError("unknown element family {!r}".format(family))
-
-
-def normal_trace(mesh, oriented, element, slot, edge_slot, t, family="bdm1"):
-    """Normal trace of a slot's basis functions on one element edge.
-
-    The trace is taken against the *global* normal of the edge in slot
-    `edge_slot`, at the point that divides the edge at parameter
-    t in [0, 1] measured from its global start vertex.  Evaluating a
-    slot on its own edge recovers the closed-form traces from the
-    module docstring; on the other two edges the trace vanishes.
-
-    Returns
-    -------
-    (k,) float array
-    """
-    if not 0 <= t <= 1:
-        raise ValueError("edge parameter must lie in [0, 1]")
-    j1 = oriented.p[element, edge_slot]
-    j2 = oriented.p[element, 3 + edge_slot]
-    w = np.zeros(3)
-    w[j1] = 1 - t
-    w[j2] = t
-    verts = mesh.elements[element]
-    d = mesh.nodes[verts[j2]] - mesh.nodes[verts[j1]]
-    normal = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
-    return eval_basis(oriented, element, slot, w, family) @ normal
-
-
-def divergence(oriented, element, slot, family="bdm1"):
-    """Divergence of the slot's basis functions (a single constant).
-
-    Both "bdm1" functions of a slot have divergence s / (2|K|) with
-    s the slot's sign_edge value; the "rt0" function, being their sum,
-    has divergence s / |K|.
-    """
-    s = oriented.sign_edge[element, slot]
-    if family == "bdm1":
-        return s / (2 * oriented.area[element])
-    if family == "rt0":
-        return s / oriented.area[element]
     raise ValueError("unknown element family {!r}".format(family))

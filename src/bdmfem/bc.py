@@ -33,7 +33,6 @@ __all__ = [
     "source_term",
     "dirichlet_term",
     "neumann_lift",
-    "edge_moment_matrix",
     "EDGE_GAUSS2_POSITIONS",
     "EDGE_GAUSS2_WEIGHTS",
 ]
@@ -56,17 +55,6 @@ class LiftedSystem:
         self.sol = sol
         self.free_dofs = free_dofs
         self.load = load
-
-
-def edge_moment_matrix(length):
-    """Edge mass matrix of (lambda_s, lambda_t) and its inverse.
-
-    int_E lambda_p lambda_q ds = L (1 + delta_pq) / 6.  Used by tests
-    to cross-check the projection coefficients in the module docstring.
-    """
-    m = length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    minv = 2.0 / length * np.array([[2.0, -1.0], [-1.0, 2.0]])
-    return m, minv
 
 
 def _edge_moments(nodes, edges, g):

@@ -183,10 +183,6 @@ def cmd_converge(args):
     from .norms import convergence_study
     mesh = _load_mesh(args.mesh)
     problem = get_problem(args.problem)
-    if not problem.has_exact_solution:
-        raise ValueError(
-            "problem {!r} has no exact solution; nothing to "
-            "study".format(problem.name))
     report = convergence_study(problem, mesh, args.levels,
                                family=args.family, tol=args.tol)
 

@@ -50,19 +50,17 @@ class BarycentricCoefficients:
 
 
 class EdgeGeometry:
-    """Lengths, unit tangents and unit normals of the global edges.
+    """Lengths and unit normals of the global edges.
 
-    The tangent points from the edge's start vertex to its end vertex
-    (global orientation); the normal is the tangent rotated clockwise
-    by 90 degrees, n = (t_y, -t_x), so it points out of the minus-side
+    The normal is the edge vector d, start to end vertex in global order,
+    rotated clockwise: n = (d_y, -d_x) / |E| points out of the minus-side
     element K-.
     """
 
-    def __init__(self, length, tangent, normal):
+    def __init__(self, length, normal):
         self.length = length
-        self.tangent = tangent
         self.normal = normal
-        for arr in (length, tangent, normal):
+        for arr in (length, normal):
             arr.setflags(write=False)
 
 
@@ -129,9 +127,8 @@ def edge_geometry(mesh, topo):
     if bad.size:
         raise DegenerateElementError(
             "edge ({}, {}): zero length".format(*topo.edges[bad[0]]))
-    tangent = d / length[:, None]
-    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-    return EdgeGeometry(length, tangent, normal)
+    return EdgeGeometry(length,
+                        np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None])
 
 
 def barycentric_coordinates(mesh, coeffs, elements, points):

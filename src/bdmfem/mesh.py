@@ -52,6 +52,8 @@ class MeshTopologyError(MeshError):
 def _array(values, dtype, field):
     """`values` as `dtype`; MeshError for `field` if ragged or non-numeric,
     strings included, though numpy would parse "1" as a number."""
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        values = values.tolist()  # checked as the nested list it holds
     try:
         if np.asarray(values).dtype.kind in "SU":
             raise ValueError

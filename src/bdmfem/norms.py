@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import flux_columns, flux_dof_count, resolve_orientation
+from .basis import (_family_of, flux_columns, flux_dof_count,
+                    resolve_orientation)
 from .geometry import (barycentric_gradients, check_coefficients,
                        edge_geometry)
 from .mesh import (build_edge_topology, check_topology, require_valid,
@@ -104,13 +105,13 @@ TRI_QUADRATURE_DEGREE6 = TriangleQuadrature(
 )
 
 
-def eval_sigma_h(flux, oriented, lam, family="bdm1", elements=None):
+def eval_sigma_h(flux, oriented, lam, elements=None):
     """Evaluate the discrete flux at one barycentric point per element.
 
     Parameters
     ----------
     flux : float array
-        Flux coefficient vector (2 NE or NE entries).
+        Flux coefficients: 2 NE for "bdm1", NE for "rt0", else ValueError.
     oriented : OrientedEdgeBasis
     lam : (n, 3) float array
         Barycentric coordinates, one row per evaluated element.
@@ -121,6 +122,7 @@ def eval_sigma_h(flux, oriented, lam, family="bdm1", elements=None):
     -------
     (n, 2) float array
     """
+    family = _family_of(flux.size, oriented.num_edges)
     if elements is None:
         elements = slice(None)
     columns = flux_columns(family, oriented.elem_to_edge[elements],
@@ -176,8 +178,7 @@ def compute_errors(mesh, topo, coeffs, solution, problem):
     # sigma_h is affine on every element, so its vertex values give it
     # at every node of the rule: (n_q, NT, 2)
     vertex = np.stack([
-        eval_sigma_h(solution.sigma, oriented, np.broadcast_to(e, (nt, 3)),
-                     solution.family)
+        eval_sigma_h(solution.sigma, oriented, np.broadcast_to(e, (nt, 3)))
         for e in np.eye(3)])
     sig_h = np.tensordot(quad.barycentric, vertex, axes=([1], [0]))
     points = quad.physical_points(mesh).reshape(-1, 2)

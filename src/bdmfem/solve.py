@@ -53,7 +53,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import element_divergence, element_mass
-from .basis import flux_dof_count, local_columns
+from .basis import _family_of, local_columns
 from .bc import dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients, check_coefficients
 from .mesh import build_edge_topology, classify_boundary, require_valid
@@ -179,7 +179,11 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     local = np.zeros((nt, k + 1, k + 1))
     local[:, :k, :k] = blocks
     local[:, k, :k] = local[:, :k, k] = div
-    inv = np.linalg.inv(local)
+    try:
+        inv = np.linalg.inv(local)
+    except np.linalg.LinAlgError:
+        bad = np.flatnonzero(np.linalg.det(local) == 0)[0]
+        raise SolverError("element {}: singular block".format(bad)) from None
     del local
 
     # a multiplier on every column shared by two sides or fixed by the
@@ -241,12 +245,13 @@ def _saddle_operator(blocks, columns, div, n):
     return apply
 
 
-def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
+def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     """Solve for the free unknowns and assemble the full solution.
 
     Parameters
     ----------
     lifted : LiftedSystem
+        Its load, 2 NE (bdm1) or NE (rt0) flux values and NT scalar ones.
     topo : EdgeTopology
     blocks : (NT, k, k) float array
         The element mass blocks M_K (:func:`assembly.element_mass`, the
@@ -261,14 +266,22 @@ def solve_reduced(lifted, topo, blocks, centroids, family="bdm1", tol=1e-10):
 
     Raises
     ------
+    ValueError
+        If the load fits no family, or `blocks` fit the other one.
     SolverError
-        On a singular factorization or a relative residual above `tol`.
+        On a singular element block or factorization, or a relative
+        residual above `tol`.
     """
     start = time.perf_counter()
     free = lifted.free_dofs
+    n = lifted.load.size - topo.elem_to_edge.shape[0]
+    family = _family_of(n, topo.num_edges)
     columns, signs = local_columns(family, topo)
+    k = columns.shape[1]
+    if blocks.shape[1:] != (k, k):
+        raise ValueError("element blocks of size {} given, {} flux unknowns "
+                         "need size {}".format(blocks.shape[1], n, k))
     div = element_divergence(topo, family)
-    n = flux_dof_count(family, topo.num_edges)
     sides = np.bincount(columns.ravel(), minlength=n)
 
     # the flux mass diagonal, summed from the block diagonals
@@ -363,4 +376,4 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
                         family)
     b2 = source_term(mesh, coeffs, problem.source)
     lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2, family)
-    return solve_reduced(lifted, topo, blocks, centroids, family, tol)
+    return solve_reduced(lifted, topo, blocks, centroids, tol)

@@ -1,8 +1,8 @@
 """Shared fixtures: the 16-element reference mesh with its hand-checked
-topology tables, random-mesh generators for property tests, the whole
-saddle-system solve that the hybridized direct solve is checked against,
-and the line-at-a-time mesh reader and writer that the section-at-a-time
-ones are checked against."""
+topology tables, random-mesh generators for property tests, normal
+traces of the basis functions, the whole saddle-system solve that the
+hybridized direct solve is checked against, and the line-at-a-time mesh
+reader and writer that the section-at-a-time ones are checked against."""
 
 import os
 from pathlib import Path
@@ -154,6 +154,23 @@ def edge_elements(topo):
         for i in range(3):
             owners[topo.elem_to_edge[t, i]].append((t, i))
     return owners
+
+
+def normal_trace(mesh, oriented, element, slot, edge_slot, t, family="bdm1"):
+    """Normal trace of a slot's basis functions (a (k,) array) against
+    the global normal of the edge in slot `edge_slot`, at parameter t in
+    [0, 1] from its global start vertex: lambda_s / |E| and
+    lambda_t / |E| (1 / |E| for rt0) on the slot's own edge, zero on
+    the other two."""
+    j1 = oriented.p[element, edge_slot]
+    j2 = oriented.p[element, 3 + edge_slot]
+    w = np.zeros(3)
+    w[j1] = 1 - t
+    w[j2] = t
+    verts = mesh.elements[element]
+    d = mesh.nodes[verts[j2]] - mesh.nodes[verts[j1]]
+    normal = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
+    return bf.eval_basis(oriented, element, slot, w, family) @ normal
 
 
 def relabel(mesh, seed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bdmfem as bf
-from conftest import edge_elements, random_mesh
+from conftest import edge_elements, normal_trace, random_mesh
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +115,12 @@ class TestNormalTraces:
             for i in range(3):
                 length = geom.length[paper_topo.elem_to_edge[t, i]]
                 for s in (0.0, 0.25, 0.5, 1.0):
-                    tr = bf.normal_trace(paper_mesh, paper_oriented,
-                                         t, i, i, s)
+                    tr = normal_trace(paper_mesh, paper_oriented,
+                                      t, i, i, s)
                     assert np.allclose(tr, [(1 - s) / length, s / length],
                                        atol=1e-13)
-                    tr = bf.normal_trace(paper_mesh, paper_oriented,
-                                         t, i, i, s, family="rt0")
+                    tr = normal_trace(paper_mesh, paper_oriented,
+                                      t, i, i, s, family="rt0")
                     assert np.allclose(tr, [1 / length], atol=1e-13)
 
     def test_vanishes_on_other_edges(self, paper_mesh, paper_oriented):
@@ -130,8 +130,8 @@ class TestNormalTraces:
                     if i == j:
                         continue
                     for s in (0.0, 0.3, 1.0):
-                        tr = bf.normal_trace(paper_mesh, paper_oriented,
-                                             t, i, j, s)
+                        tr = normal_trace(paper_mesh, paper_oriented,
+                                          t, i, j, s)
                         assert np.allclose(tr, 0.0, atol=1e-13)
 
     def test_continuity_across_interior_edges(self):
@@ -143,35 +143,22 @@ class TestNormalTraces:
                 continue
             (ta, ia), (tb, ib) = owners
             for s in (0.0, 0.5, 0.8):
-                tra = bf.normal_trace(mesh, oriented, ta, ia, ia, s)
-                trb = bf.normal_trace(mesh, oriented, tb, ib, ib, s)
+                tra = normal_trace(mesh, oriented, ta, ia, ia, s)
+                trb = normal_trace(mesh, oriented, tb, ib, ib, s)
                 assert np.allclose(tra, trb, atol=1e-12)
-
-    def test_parameter_validated(self, paper_mesh, paper_oriented):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            bf.normal_trace(paper_mesh, paper_oriented, 0, 0, 0, 1.5)
 
 
 class TestDivergence:
+    """The production rows D_K = -(div phi, 1)_K of
+    :func:`assembly.element_divergence` against the normal traces."""
 
-    def test_values(self, paper_oriented, paper_topo, paper_coeffs):
-        for t in range(16):
-            for i in range(3):
-                s = paper_topo.sign_edge[t, i]
-                area = paper_coeffs.area[t]
-                assert bf.divergence(paper_oriented, t, i) == s / (2 * area)
-                assert bf.divergence(paper_oriented, t, i,
-                                     family="rt0") == s / area
-
-    def test_opposite_across_interior_edges(self, paper_topo,
-                                            paper_oriented):
+    def test_opposite_across_interior_edges(self, paper_topo):
+        div = bf.assembly.element_divergence(paper_topo)
         for owners in edge_elements(paper_topo):
             if len(owners) != 2:
                 continue
             (ta, ia), (tb, ib) = owners
-            da = bf.divergence(paper_oriented, ta, ia)
-            db = bf.divergence(paper_oriented, tb, ib)
-            assert np.sign(da) == -np.sign(db)
+            assert np.sign(div[ta, ia]) == -np.sign(div[tb, ib])
 
     def test_divergence_theorem(self):
         # integral of div phi over the element equals the boundary flux;
@@ -184,24 +171,26 @@ class TestDivergence:
         g = (0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3))
         rng = np.random.default_rng(2)
         for family in bf.FAMILIES:
+            div = bf.assembly.element_divergence(topo, family)
             k = bf.functions_per_edge(family)
             for _ in range(10):
                 t = rng.integers(mesh.num_elements)
                 i = rng.integers(3)
-                bulk = bf.divergence(oriented, t, i, family) * coeffs.area[t]
+                # both bdm1 functions of a slot share one divergence
+                bulk = -div[t, i]
                 flux = np.zeros(k)
                 for j in range(3):
                     e = topo.elem_to_edge[t, j]
                     s = topo.sign_edge[t, j]  # global -> outward normal
                     for gp in g:
-                        tr = bf.normal_trace(mesh, oriented, t, i, j, gp,
-                                             family)
+                        tr = normal_trace(mesh, oriented, t, i, j, gp,
+                                          family)
                         flux += s * tr * geom.length[e] / 2
                 assert np.allclose(flux, bulk, atol=1e-13)
 
-    def test_unknown_family(self, paper_oriented):
+    def test_unknown_family(self, paper_topo):
         with pytest.raises(ValueError, match="family"):
-            bf.divergence(paper_oriented, 0, 0, family="p1")
+            bf.assembly.element_divergence(paper_topo, "p1")
         with pytest.raises(ValueError, match="family"):
             bf.functions_per_edge("p1")
 

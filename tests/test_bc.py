@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import bdmfem as bf
-from conftest import integrate_segment_exact, mark_boundary_dirichlet
+from conftest import (integrate_segment_exact, mark_boundary_dirichlet,
+                      normal_trace)
 
 
 def paper_setup(family="bdm1"):
@@ -96,19 +97,6 @@ class TestDirichletTerm:
         assert np.abs(b1).max() == 0.0
 
 
-class TestMomentMatrix:
-
-    def test_unit_edge(self):
-        m, minv = bf.edge_moment_matrix(1.0)
-        assert np.allclose(m, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-        assert np.allclose(minv @ m, np.eye(2), atol=1e-15)
-
-    def test_general_length(self):
-        m, minv = bf.edge_moment_matrix(0.7)
-        assert np.allclose(m @ minv, np.eye(2), atol=1e-14)
-        assert np.isclose(m.sum(), 0.7)  # int_E (lambda_s+lambda_t)^2 = L
-
-
 class TestNeumannLift:
 
     def test_constant_flux(self):
@@ -160,7 +148,8 @@ class TestNeumannLift:
                 integrate_segment_exact(a, b, lambda p: g(p) * lam_s(p)),
                 integrate_segment_exact(a, b,
                                         lambda p: g(p) * (1 - lam_s(p)))])
-            _, minv = bf.edge_moment_matrix(L)
+            # the edge mass matrix of (lam_s, lam_t) is L/6 [[2, 1], [1, 2]]
+            minv = 2 / L * np.array([[2.0, -1.0], [-1.0, 2.0]])
             d = minv @ moments  # projection coefficients on (lam_s, lam_t)
             # coefficient of basis function = s * d * L (trace is lam/L);
             # the moment integrands are cubic, which the two-point rule
@@ -243,7 +232,7 @@ class TestNeumannLift:
             a, b = mesh.nodes[boundary.neumann[k]]
             for tau in (0.0, 0.37, 1.0):
                 p = (a + (b - a) * tau)[None, :]
-                tr = bf.normal_trace(mesh, oriented, t, i, i, tau, family)
+                tr = normal_trace(mesh, oriented, t, i, i, tau, family)
                 k_fun = bf.functions_per_edge(family)
                 coef = [sol[e + m * 28] for m in range(k_fun)]
                 # trace against the global normal; outward needs the

@@ -140,22 +140,23 @@ class TestSolve:
 
     def test_dump_solution(self, tmp_path, capsys):
         path = tmp_path / "coeffs.csv"
-        main(["solve", "--mesh", "builtin:paper",
-              "--problem", "paper-example", "--dump-solution", str(path)])
-        capsys.readouterr()
-        lines = path.read_text().splitlines()
-        assert lines[0] == "block,index,value"
-        assert len(lines) == 1 + 56 + 16
-        blocks = [ln.split(",")[0] for ln in lines[1:]]
-        assert blocks.count("flux1") == 28
-        assert blocks.count("flux2") == 28
-        assert blocks.count("scalar") == 16
-        # values round-trip through the 17-digit format
-        sol = bf.solve_problem(bf.builtin_mesh("paper"),
-                               bf.get_problem("paper-example"))
-        vals = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
-        assert np.array_equal(vals[:56], sol.sigma)
-        assert np.array_equal(vals[56:], sol.u)
+        for family, flux in (("bdm1", ["flux1"] * 28 + ["flux2"] * 28),
+                             ("rt0", ["flux"] * 28)):
+            main(["solve", "--mesh", "builtin:paper", "--problem",
+                  "paper-example", "--family", family,
+                  "--dump-solution", str(path)])
+            capsys.readouterr()
+            lines = path.read_text().splitlines()
+            assert lines[0] == "block,index,value"
+            blocks = [ln.split(",")[0] for ln in lines[1:]]
+            assert blocks == flux + ["scalar"] * 16
+            # values round-trip through the 17-digit format
+            sol = bf.solve_problem(bf.builtin_mesh("paper"),
+                                   bf.get_problem("paper-example"),
+                                   family=family)
+            vals = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
+            assert np.array_equal(vals[:-16], sol.sigma)
+            assert np.array_equal(vals[-16:], sol.u)
 
     def test_dump_matrix(self, tmp_path, capsys):
         path = tmp_path / "system.mtx"

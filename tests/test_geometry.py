@@ -53,15 +53,19 @@ def test_non_finite_vertex_rejected(paper_mesh, value):
 
 def test_edge_geometry_reference(paper_mesh, paper_topo):
     geom = bf.edge_geometry(paper_mesh, paper_topo)
-    # first global edge is (-1,1)->(0,1): length 1, tangent +x,
-    # normal (t_y, -t_x) = -y
+    # first global edge is (-1,1)->(0,1): length 1, along +x,
+    # normal (d_y, -d_x) / |E| = -y
     assert np.isclose(geom.length[0], 1.0)
-    assert np.allclose(geom.tangent[0], [1.0, 0.0])
     assert np.allclose(geom.normal[0], [0.0, -1.0])
     # axis-parallel edges have length 1, half-diagonals sqrt(1/2)
     assert set(np.round(geom.length, 12)) == {1.0, np.round(np.sqrt(0.5), 12)}
-    assert np.allclose(np.hypot(geom.tangent[:, 0], geom.tangent[:, 1]), 1.0)
-    assert np.allclose((geom.tangent * geom.normal).sum(axis=1), 0.0)
+    # a unit normal, orthogonal to the edge vector d, with d x n = -|E|
+    d = paper_mesh.nodes[paper_topo.edges[:, 1]] \
+        - paper_mesh.nodes[paper_topo.edges[:, 0]]
+    n = geom.normal
+    assert np.allclose(np.hypot(n[:, 0], n[:, 1]), 1.0)
+    assert np.allclose((d * n).sum(axis=1), 0.0)
+    assert np.allclose(d[:, 0] * n[:, 1] - d[:, 1] * n[:, 0], -geom.length)
 
 
 def test_normal_points_out_of_minus_side(paper_mesh, paper_topo):

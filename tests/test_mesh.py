@@ -117,6 +117,7 @@ class TestValidation:
         ("elements", [[0, 1, np.inf]], None),
         ("elements", np.array([[0, 1, 1e30]]), None),
         ("boundary_markers", [[0, 1, 2]], [[1, 0.5, 1]]),
+        ("elements", np.array([[0, 1, 2.5]], dtype=object), None),
     ])
     def test_non_integral_is_mesh_error(self, field, elements, markers):
         # never truncated to an index or marker that validates
@@ -139,6 +140,11 @@ class TestValidation:
         ("elements", [[0, 0], [1, 0], [0, 1]], [[0, 1, "2.5"]], None),
         ("boundary_markers", [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]],
          [["1", "1", 1]]),
+        # and when an object array holds them
+        ("nodes", np.array([[0, 0], [1, 0], [0, "1"]], dtype=object),
+         [[0, 1, 2]], None),
+        ("elements", [[0, 0], [1, 0], [0, 1]],
+         np.array([[0, 1, "2"]], dtype=object), None),
     ])
     def test_ragged_or_non_numeric_is_mesh_error(self, field, nodes,
                                                  elements, markers):
@@ -162,6 +168,12 @@ class TestValidation:
                                        markers):
         with pytest.raises(bf.MeshError, match=message):
             bf.Mesh(nodes, elements, markers)
+
+    def test_object_array_of_numbers_accepted(self):
+        mesh = bf.Mesh(np.array([[0, 0], [1, 0], [0, 1.0]], dtype=object),
+                       np.array([[0, 1, 2]], dtype=object))
+        assert mesh.nodes.dtype == float
+        assert mesh.elements.tolist() == [[0, 1, 2]]
 
     def test_integral_floats_accepted(self):
         mesh = bf.Mesh([[0, 0], [1, 0], [0, 1]], [[0.0, 1.0, 2.0]],

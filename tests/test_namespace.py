@@ -10,7 +10,7 @@ import numpy as np
 
 import bdmfem as bf
 
-# every name ``from bdmfem import *`` gave before the namespace was lazy
+# every name ``from bdmfem import *`` gives
 PUBLIC_NAMES = sorted("""
 BUILTIN_MESHES BarycentricCoefficients BoundaryEdges DegenerateElementError
 EDGE_GAUSS2_POSITIONS EDGE_GAUSS2_WEIGHTS EdgeGeometry EdgeTopology
@@ -19,11 +19,10 @@ MeshTopologyError MixedSolution OrientedEdgeBasis PROBLEMS ProblemDefinition
 SolverError TRI_QUADRATURE_DEGREE4 TRI_QUADRATURE_DEGREE6 TriangleQuadrature
 assemble_divergence assemble_mass assemble_system barycentric_coordinates
 barycentric_gradients build_edge_topology builtin_mesh classify_boundary
-compute_errors convergence_study dirichlet_term divergence edge_geometry
-edge_moment_matrix eval_basis eval_sigma_h flux_dof_count functions_per_edge
-get_problem neumann_lift normal_trace read_mesh resolve_orientation
-signed_areas solve_problem solve_reduced source_term uniform_refine
-validate_mesh write_matrix_market write_mesh
+compute_errors convergence_study dirichlet_term edge_geometry eval_basis
+eval_sigma_h flux_dof_count functions_per_edge get_problem neumann_lift
+read_mesh resolve_orientation signed_areas solve_problem solve_reduced
+source_term uniform_refine validate_mesh write_matrix_market write_mesh
 """.split())
 
 SUBMODULES = ("assembly", "basis", "bc", "geometry", "mesh", "norms",

@@ -137,8 +137,19 @@ class TestEvalSigmaH:
         v = np.array([0.8, -1.4])
         flux = geom.length * (geom.normal @ v)
         lam = np.full((16, 3), 1 / 3)
-        got = bf.eval_sigma_h(flux, oriented, lam, family="rt0")
+        got = bf.eval_sigma_h(flux, oriented, lam)
         assert np.allclose(got, v, atol=1e-13)
+
+    @pytest.mark.parametrize("size", [27, 29, 55, 57, 84])
+    def test_flux_size_names_no_family(self, paper_topo, paper_coeffs,
+                                       size):
+        # 28 edges: only 28 (rt0) and 56 (bdm1) flux values fit
+        oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
+        lam = np.full((16, 3), 1 / 3)
+        with pytest.raises(ValueError,
+                           match="{} flux unknowns fit no family on 28 "
+                                 "edges".format(size)):
+            bf.eval_sigma_h(np.ones(size), oriented, lam)
 
     def test_elements_subset(self, paper_topo, paper_coeffs):
         oriented = bf.resolve_orientation(paper_topo, paper_coeffs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bdmfem as bf
+from bdmfem.cli import main
 from conftest import (mark_boundary_dirichlet, random_mesh, relabel,
                       saddle_solve)
 
@@ -113,6 +114,25 @@ class TestSolveProblem:
         with pytest.raises(ValueError, match="positive"):
             bf.solve_problem(paper_mesh, bad)
 
+    def test_singular_element_block(self, tmp_path, capsys):
+        # paper level 2 flattened to 1e-9 in y passes validation, but
+        # the inverse of its element blocks hits an exact zero pivot
+        mesh = _paper_level(2)
+        mesh = bf.Mesh(mesh.nodes * [1.0, 1e-9], mesh.elements,
+                       mesh.boundary_markers)
+        assert bf.validate_mesh(mesh) == []
+        for family in bf.FAMILIES:
+            for name in ("smooth-dirichlet", "paper-example"):
+                with pytest.raises(bf.SolverError,
+                                   match="element 0: singular block"):
+                    bf.solve_problem(mesh, bf.get_problem(name),
+                                     family=family)
+        path = tmp_path / "thin.mesh"
+        bf.write_mesh(mesh, path)
+        assert main(["solve", "--mesh", str(path),
+                     "--problem", "smooth-dirichlet"]) == 4
+        assert "element 0: singular block" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["qr", "minres"])
     def test_unknown_method(self, paper_mesh, method):
         # named before the mesh is looked at: this one is clockwise
@@ -200,6 +220,21 @@ class TestSolveReduced:
         blocks[t, i, i] = 0.0
         with pytest.raises(bf.SolverError, match="diagonal"):
             bf.solve_reduced(lifted, topo, blocks, centroids)
+
+    def test_family_from_load(self, paper_mesh):
+        # the load's length fixes the family; the blocks of the other
+        # family are refused in both directions, naming both sizes
+        inputs = {family: self._inputs(paper_mesh, family)
+                  for family in bf.FAMILIES}
+        for family, other in (("bdm1", "rt0"), ("rt0", "bdm1")):
+            _, lifted, topo, blocks, centroids = inputs[family]
+            sol = bf.solve_reduced(lifted, topo, blocks, centroids)
+            assert sol.family == family
+            wrong = inputs[other][3]
+            with pytest.raises(ValueError, match=r"size {} given, .* need "
+                               r"size {}".format(wrong.shape[1],
+                                                 blocks.shape[1])):
+                bf.solve_reduced(lifted, topo, wrong, centroids)
 
     def test_refinement_on_slivers(self):
         # areas spread 470-fold: the hybridized elimination alone leaves
