@@ -149,7 +149,7 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
     Parameters
     ----------
     element, slot : int
-        Element index and local edge index (0..2).
+        Element index (0..NT-1) and local edge index (0..2).
     w : (3,) array
         Barycentric coordinates of the evaluation point.
     family : {"bdm1", "rt0"}
@@ -160,6 +160,10 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
         Cartesian values of the k basis functions of the slot
         (k = 2 for "bdm1", 1 for "rt0").
     """
+    nt = oriented.area.shape[0]
+    if not (0 <= element < nt and 0 <= slot <= 2):
+        raise ValueError("element {} / slot {} outside 0..{} / 0..2".format(
+            element, slot, nt - 1))
     w = _check_barycentric(w)
     pair = [slot, 3 + slot]
     inv2a = 1.0 / (2 * oriented.area[element])

@@ -26,7 +26,7 @@ with the two-point Gauss rule EDGE_GAUSS2_POSITIONS / _WEIGHTS.
 
 import numpy as np
 
-from .basis import flux_columns, flux_dof_count, functions_per_edge
+from .basis import _family_of, flux_columns, flux_dof_count
 
 __all__ = [
     "LiftedSystem",
@@ -73,8 +73,8 @@ def source_term(mesh, coeffs, source):
     return -np.asarray(source(centroids), dtype=float) * coeffs.area
 
 
-def dirichlet_term(mesh, boundary, g_dirichlet, num_edges, family="bdm1"):
-    """Flux-equation load from Dirichlet data.
+def dirichlet_term(mesh, boundary, g_dirichlet, family="bdm1"):
+    """Flux-equation load for `family` on ``boundary.num_edges`` edges.
 
     For each Dirichlet edge, -int_E (phi . n_out) g_D for its basis
     functions; with the trace lambda_s / |E| the edge length cancels,
@@ -84,6 +84,7 @@ def dirichlet_term(mesh, boundary, g_dirichlet, num_edges, family="bdm1"):
 
     (for "rt0" both land in row j and add up).
     """
+    num_edges = boundary.num_edges
     b1 = np.zeros(flux_dof_count(family, num_edges))
     if boundary.num_dirichlet == 0:
         return b1
@@ -96,15 +97,17 @@ def dirichlet_term(mesh, boundary, g_dirichlet, num_edges, family="bdm1"):
     return b1
 
 
-def neumann_lift(mesh, boundary, g_neumann, b1, b2, family="bdm1"):
-    """Fix the Neumann flux coefficients.
+def neumann_lift(mesh, boundary, g_neumann, b1, b2):
+    """Fix the Neumann flux coefficients of the family that `b1` fits on
+    ``boundary.num_edges`` edges (ValueError if it fits none).
 
     Returns a :class:`LiftedSystem` whose ``sol`` holds the lifted
     coefficients (zeros elsewhere), whose ``free_dofs`` excludes the
     Neumann flux unknowns, and whose ``load`` is [b1; b2].
     """
     ndof = len(b1) + len(b2)
-    num_edges = len(b1) // functions_per_edge(family)
+    num_edges = boundary.num_edges
+    family = _family_of(len(b1), num_edges)
     sol = np.zeros(ndof)
     count = np.zeros(ndof, dtype=np.int64)
 

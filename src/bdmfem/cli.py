@@ -125,9 +125,7 @@ def cmd_solve(args):
     coeffs = barycentric_gradients(mesh)
     solution = solve.solve_problem(mesh, problem, family=args.family,
                                    tol=args.tol, topo=topo, coeffs=coeffs)
-    errors = None
-    if problem.has_exact_solution:
-        errors = norms.compute_errors(mesh, topo, coeffs, solution, problem)
+    errors = norms.compute_errors(mesh, topo, coeffs, solution, problem)
 
     print("problem:   {} ({})".format(problem.name, args.family))
     print("mesh:      {} nodes, {} elements, {} edges".format(
@@ -136,9 +134,8 @@ def cmd_solve(args):
                                            solution.num_free))
     print("solver:    direct, residual {:.3e}, {:.3f} s".format(
         solution.residual, solution.solve_time))
-    if errors is not None:
-        print("err_sigma: {}".format(_format_sci(errors[0])))
-        print("err_u:     {}".format(_format_sci(errors[1])))
+    print("err_sigma: {}".format(_format_sci(errors[0])))
+    print("err_u:     {}".format(_format_sci(errors[1])))
 
     if args.out:
         fields = [
@@ -151,10 +148,9 @@ def cmd_solve(args):
             ("dof", solution.num_dof),
             ("free_dof", solution.num_free),
             ("residual", _format_sci(solution.residual)),
+            ("err_sigma", _format_sci(errors[0])),
+            ("err_u", _format_sci(errors[1])),
         ]
-        if errors is not None:
-            fields += [("err_sigma", _format_sci(errors[0])),
-                       ("err_u", _format_sci(errors[1]))]
         with open(args.out, "w") as fh:
             fh.write(",".join(name for name, _ in fields) + "\n")
             fh.write(",".join(str(val) for _, val in fields) + "\n")

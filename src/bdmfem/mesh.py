@@ -165,17 +165,18 @@ class BoundaryEdges:
     :attr:`EdgeTopology.edges`.  ``sign_*`` is +1 where the owning
     element traverses the edge in global orientation (so the global
     edge normal points out of the domain) and -1 otherwise; ``ind_*``
-    gives each edge's global index.
+    gives each edge's global index; ``num_edges`` is the topology's NE.
     """
 
     def __init__(self, dirichlet, sign_dirichlet, ind_dirichlet,
-                 neumann, sign_neumann, ind_neumann):
+                 neumann, sign_neumann, ind_neumann, num_edges):
         self.dirichlet = dirichlet
         self.sign_dirichlet = sign_dirichlet
         self.ind_dirichlet = ind_dirichlet
         self.neumann = neumann
         self.sign_neumann = sign_neumann
         self.ind_neumann = ind_neumann
+        self.num_edges = num_edges
         for arr in (dirichlet, sign_dirichlet, ind_dirichlet,
                     neumann, sign_neumann, ind_neumann):
             arr.setflags(write=False)
@@ -367,7 +368,7 @@ def classify_boundary(mesh, topo):
                 kind, *rows[shared[0]]))
         parts[kind] = (rows, topo.sign_edge[t, i], ind)
 
-    return BoundaryEdges(*parts[DIRICHLET], *parts[NEUMANN])
+    return BoundaryEdges(*parts[DIRICHLET], *parts[NEUMANN], topo.num_edges)
 
 
 def uniform_refine(mesh):

@@ -157,7 +157,7 @@ def compute_errors(mesh, topo, coeffs, solution, problem):
         If `solution` does not have this mesh's number of unknowns, or
         alpha is not positive and finite on every element.
     """
-    if problem.exact_sigma is None or problem.exact_u is None:
+    if not problem.has_exact_solution:
         raise ValueError(
             "problem {!r} has no exact solution to compare "
             "against".format(problem.name))
@@ -252,7 +252,7 @@ def convergence_study(problem, base_mesh, levels, family="bdm1",
             level=level,
             h=h,
             num_elements=mesh.num_elements,
-            num_dof=flux_dof_count(family, topo.num_edges) + mesh.num_elements,
+            num_dof=solution.num_dof,
             err_sigma=err_sigma,
             err_u=err_u,
             residual=solution.residual,

@@ -267,11 +267,14 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     Raises
     ------
     ValueError
-        If the load fits no family, or `blocks` fit the other one.
+        If `tol` is outside (0, 1), the load fits no family, or
+        `blocks` fit the other one.
     SolverError
         On a singular element block or factorization, or a relative
         residual above `tol`.
     """
+    if not 0 < tol < 1:
+        raise ValueError("tolerance {!r} must lie in (0, 1)".format(tol))
     start = time.perf_counter()
     free = lifted.free_dofs
     n = lifted.load.size - topo.elem_to_edge.shape[0]
@@ -372,8 +375,7 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
 
     centroids, alpha = _element_alpha(mesh, problem)
     blocks = element_mass(topo, coeffs, 1.0 / alpha, family)
-    b1 = dirichlet_term(mesh, boundary, problem.dirichlet, topo.num_edges,
-                        family)
+    b1 = dirichlet_term(mesh, boundary, problem.dirichlet, family)
     b2 = source_term(mesh, coeffs, problem.source)
-    lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2, family)
+    lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2)
     return solve_reduced(lifted, topo, blocks, centroids, tol)

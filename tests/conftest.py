@@ -197,10 +197,9 @@ def saddle_solve(mesh, problem, family="bdm1"):
     system = bf.assemble_system(
         bf.assemble_mass(topo, coeffs, inv_alpha, family),
         bf.assemble_divergence(topo, family))
-    b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet,
-                           topo.num_edges, family)
+    b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet, family)
     b2 = bf.source_term(mesh, coeffs, problem.source)
-    lifted = bf.neumann_lift(mesh, boundary, problem.neumann, b1, b2, family)
+    lifted = bf.neumann_lift(mesh, boundary, problem.neumann, b1, b2)
     free = lifted.free_dofs
     rhs = lifted.load - system @ lifted.sol
     sol = lifted.sol.copy()

@@ -105,6 +105,11 @@ class TestPointValues:
             bf.eval_basis(paper_oriented, 0, 0, [0.6, 0.6, 0.2])
         with pytest.raises(ValueError, match="family"):
             bf.eval_basis(paper_oriented, 0, 0, [1, 0, 0], family="p2")
+        # a negative index would otherwise wrap to another slot or element
+        for element, slot in ((0, -1), (-1, 0), (0, 3), (16, 0)):
+            with pytest.raises(ValueError, match="element {} / slot {} "
+                               "outside 0..15".format(element, slot)):
+                bf.eval_basis(paper_oriented, element, slot, [1, 0, 0])
 
 
 class TestNormalTraces:

@@ -42,7 +42,7 @@ class TestDirichletTerm:
     def test_constant_data(self, paper_mesh, paper_topo):
         boundary = bf.classify_boundary(paper_mesh, paper_topo)
         b1 = bf.dirichlet_term(paper_mesh, boundary,
-                               lambda p: np.ones(len(p)), 28)
+                               lambda p: np.ones(len(p)))
         # for g == 1 both weights sum to 1/2, so every Dirichlet edge
         # contributes -s/2 to each of its two rows
         expect = np.zeros(56)
@@ -66,7 +66,7 @@ class TestDirichletTerm:
             t = np.hypot(p[:, 0] - a[0], p[:, 1] - a[1]) / L
             return g(p) * t / L
 
-        b1 = bf.dirichlet_term(paper_mesh, boundary, g, 28)
+        b1 = bf.dirichlet_term(paper_mesh, boundary, g)
         for k, e in enumerate(boundary.ind_dirichlet):
             a, b = paper_mesh.nodes[boundary.dirichlet[k]]
             L = np.hypot(*(b - a))
@@ -81,9 +81,11 @@ class TestDirichletTerm:
     def test_rt0_is_mean(self, paper_mesh, paper_topo):
         boundary = bf.classify_boundary(paper_mesh, paper_topo)
         g = lambda p: 1 + p[:, 0] + p[:, 1]
-        pair = bf.dirichlet_term(paper_mesh, boundary, g, 28)
-        single = bf.dirichlet_term(paper_mesh, boundary, g, 28,
-                                   family="rt0")
+        pair = bf.dirichlet_term(paper_mesh, boundary, g)
+        single = bf.dirichlet_term(paper_mesh, boundary, g, family="rt0")
+        # sized from the edge count the boundary split carries
+        assert boundary.num_edges == 28
+        assert pair.shape == (56,) and single.shape == (28,)
         assert np.allclose(single, pair[:28] + pair[28:], atol=1e-15)
 
     def test_no_dirichlet_edges(self, paper_mesh, paper_topo):
@@ -91,9 +93,9 @@ class TestDirichletTerm:
         neumann_only = bf.BoundaryEdges(
             boundary.dirichlet[:0], boundary.sign_dirichlet[:0],
             boundary.ind_dirichlet[:0], boundary.neumann,
-            boundary.sign_neumann, boundary.ind_neumann)
+            boundary.sign_neumann, boundary.ind_neumann, 28)
         b1 = bf.dirichlet_term(paper_mesh, neumann_only,
-                               lambda p: np.ones(len(p)), 28)
+                               lambda p: np.ones(len(p)))
         assert np.abs(b1).max() == 0.0
 
 
@@ -193,8 +195,7 @@ class TestNeumannLift:
                              lambda a, b: (a[0] + b[0] - 0.5)
                              * abs(b[0] - a[0]))):
             lifted = bf.neumann_lift(mesh, boundary, g,
-                                     np.zeros(28), np.zeros(16),
-                                     family="rt0")
+                                     np.zeros(28), np.zeros(16))
             assert len(lifted.sol) == 44
             for k, e in enumerate(boundary.ind_neumann):
                 s = boundary.sign_neumann[k]
@@ -202,6 +203,18 @@ class TestNeumannLift:
                 assert np.isclose(lifted.sol[e], s * integral(a, b),
                                   rtol=1e-14, atol=0)
             assert len(lifted.free_dofs) == 44 - 2
+
+    def test_family_from_flux_length(self):
+        # the length of b1 on the boundary's edge count picks the
+        # family (both are lifted above); a length that fits none is
+        # refused, since any lift built from it would be wrong
+        mesh, topo, coeffs, boundary, system = paper_setup()
+        g = bf.get_problem("paper-example").neumann
+        for size in (27, 29, 55, 57, 84):
+            with pytest.raises(ValueError, match="{} flux unknowns fit no "
+                               "family on 28 edges".format(size)):
+                bf.neumann_lift(mesh, boundary, g, np.zeros(size),
+                                np.zeros(16))
 
     def test_missing_data_raises(self):
         mesh, topo, coeffs, boundary, system = paper_setup()

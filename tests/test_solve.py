@@ -173,11 +173,9 @@ class TestSolveReduced:
         system = bf.assemble_system(
             bf.assemble_mass(topo, coeffs, inv_alpha, family),
             bf.assemble_divergence(topo, family))
-        b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet,
-                               topo.num_edges, family)
+        b1 = bf.dirichlet_term(mesh, boundary, problem.dirichlet, family)
         b2 = bf.source_term(mesh, coeffs, problem.source)
-        lifted = bf.neumann_lift(mesh, boundary, problem.neumann, b1, b2,
-                                 family)
+        lifted = bf.neumann_lift(mesh, boundary, problem.neumann, b1, b2)
         return system, lifted, topo, blocks, centroids
 
     def test_residual_reported(self, paper_mesh):
@@ -206,6 +204,11 @@ class TestSolveReduced:
         _, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
         with pytest.raises(bf.SolverError, match="residual"):
             bf.solve_reduced(lifted, topo, blocks, centroids, tol=1e-30)
+        # outside (0, 1) the tolerance itself is refused: a NaN one
+        # compares false with every residual and would pass anything
+        for tol in (float("nan"), 0.0, -1.0, 1.0):
+            with pytest.raises(ValueError, match="tolerance"):
+                bf.solve_reduced(lifted, topo, blocks, centroids, tol=tol)
 
     def test_diagonal_structure_check(self, paper_mesh):
         # a free flux column on a Dirichlet edge has one side, so
