@@ -67,10 +67,19 @@ def _edge_moments(nodes, edges, g):
     return (1 - EDGE_GAUSS2_POSITIONS) @ gw, EDGE_GAUSS2_POSITIONS @ gw
 
 
+def _element_values(callback, points, what):
+    """`callback` at one point per element, if a scalar or (NT,) floats."""
+    values = np.asarray(callback(points), dtype=float)
+    if values.shape not in ((), points.shape[:1]):
+        raise ValueError("{} returned shape {}, not a scalar or {}".format(
+            what, values.shape, points.shape[:1]))
+    return values
+
+
 def source_term(mesh, coeffs, source):
     """Scalar-equation load b2_l = -f(centroid) |K_l|."""
     centroids = mesh.nodes[mesh.elements].mean(axis=1)
-    return -np.asarray(source(centroids), dtype=float) * coeffs.area
+    return -_element_values(source, centroids, "source") * coeffs.area
 
 
 def dirichlet_term(mesh, boundary, g_dirichlet, family="bdm1"):

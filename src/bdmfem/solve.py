@@ -54,7 +54,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import element_divergence, element_mass
 from .basis import _family_of, local_columns
-from .bc import dirichlet_term, neumann_lift, source_term
+from .bc import _element_values, dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients, check_coefficients
 from .mesh import build_edge_topology, classify_boundary, require_valid
 
@@ -74,6 +74,7 @@ class MixedSolution:
         Flux coefficients (2 NE for "bdm1", NE for "rt0").
     u : (NT,) float array
         Elementwise constant scalar values.
+    family : {"bdm1", "rt0"}
     residual : float
         Relative residual of the saddle system on the free unknowns.
     solve_time : float
@@ -97,6 +98,8 @@ class MixedSolution:
 
 # most elements in a leaf of the dissection tree
 _LEAF_SIZE = 4
+# SuperLU panel width: 12 MB of work arrays at level 6, 60 MB at the default 20
+_PANEL_SIZE = 4
 
 
 def _dissection_rank(centroids, columns, signs, joined):
@@ -208,7 +211,7 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
         shape=(count + 1, count + 1))[:count, :count]
     try:
         lu = spla.splu(schur, permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0,
+                       diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals exact singularity
         raise SolverError("direct factorization failed: {}".format(exc))
@@ -323,20 +326,20 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
 
 def _element_alpha(mesh, problem):
     """Element centroids, summed in coordinate order so that the vertex
-    order leaves no round-off, and the problem's alpha at them, which
-    must be positive and finite (ValueError otherwise)."""
+    order leaves no round-off, and the problem's alpha at them, a scalar
+    or one value per element, positive and finite (ValueError otherwise)."""
     centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
-    alpha = np.asarray(problem.alpha(centroids), dtype=float)
+    what = "problem {!r}: alpha".format(problem.name)
+    alpha = _element_values(problem.alpha, centroids, what)
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
-        raise ValueError(
-            "problem {!r}: alpha must be positive and finite on every "
-            "element".format(problem.name))
+        raise ValueError(what + " must be positive and finite on every "
+                         "element")
     return centroids, alpha
 
 
 def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
                   topo=None, coeffs=None):
-    """Validate a mesh, then assemble and solve a diffusion problem on it.
+    """Validate a mesh, then solve a diffusion problem on it.
 
     Parameters
     ----------
@@ -357,8 +360,8 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     Raises
     ------
     ValueError
-        If `method` is not "direct", or alpha is not positive and
-        finite on every element.
+        If `method` is not "direct", alpha or the source is not one
+        value per element or a scalar, or alpha is not positive and finite.
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
     """
@@ -376,6 +379,9 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     centroids, alpha = _element_alpha(mesh, problem)
     blocks = element_mass(topo, coeffs, 1.0 / alpha, family)
     b1 = dirichlet_term(mesh, boundary, problem.dirichlet, family)
-    b2 = source_term(mesh, coeffs, problem.source)
+    try:
+        b2 = source_term(mesh, coeffs, problem.source)
+    except ValueError as e:
+        raise ValueError("problem {!r}: {}".format(problem.name, e)) from None
     lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2)
     return solve_reduced(lifted, topo, blocks, centroids, tol)

@@ -1,5 +1,7 @@
 """Reduced solve, diagnostics and whole-pipeline consistency checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,26 @@ class TestSolveProblem:
             neumann=lambda p: np.zeros(len(p)))
         with pytest.raises(ValueError, match="positive"):
             bf.solve_problem(paper_mesh, bad)
+
+    @pytest.mark.parametrize("field", ["alpha", "source"])
+    @pytest.mark.parametrize("shape", [(256, 1), (257,)],
+                             ids=["column", "one_more"])
+    def test_callback_shape_refused(self, field, shape):
+        # an (NT, 1) column would broadcast against the (NT,) areas into
+        # an (NT, NT) array before any error
+        problem = _paper_with(**{field: lambda p: np.ones(shape)})
+        message = "problem 'odd': {} returned shape {}, not a scalar or " \
+                  "(256,)".format(field, shape)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bf.solve_problem(_paper_level(2), problem)
+
+    @pytest.mark.parametrize("field", ["alpha", "source"])
+    def test_scalar_callback_kept(self, field):
+        mesh = _paper_level(2)
+        scalar, array = (bf.solve_problem(mesh, _paper_with(**{field: f}))
+                         for f in (lambda p: 1.0, lambda p: np.ones(len(p))))
+        assert np.array_equal(scalar.sigma, array.sigma)
+        assert np.array_equal(scalar.u, array.u)
 
     def test_singular_element_block(self, tmp_path, capsys):
         # paper level 2 flattened to 1e-9 in y passes validation, but
@@ -291,6 +313,26 @@ class TestSolveReduced:
         assert len(nnz) == 3
         assert nnz[0] == nnz[1] == nnz[2]
 
+    @pytest.mark.parametrize("family, fill",
+                             [("bdm1", 639496), ("rt0", 163080)])
+    def test_factor_panel_and_fill(self, monkeypatch, family, fill):
+        # the narrow panel bounds SuperLU's dense work arrays and leaves
+        # the fill as it was at the default panel width
+        calls = []
+        splu = bf.solve.spla.splu
+
+        def recorded(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            calls.append((kwargs, lu.nnz))
+            return lu
+
+        monkeypatch.setattr(bf.solve.spla, "splu", recorded)
+        bf.solve_problem(_paper_level(4), bf.get_problem("paper-example"),
+                         family=family)
+        [(kwargs, nnz)] = calls
+        assert kwargs.get("panel_size") == bf.solve._PANEL_SIZE == 4
+        assert nnz == fill
+
     def test_random_mesh_families(self):
         mesh = random_mesh(seed=19, n=25)
         problem = bf.get_problem("smooth-dirichlet")
@@ -299,6 +341,14 @@ class TestSolveReduced:
             assert sol.residual <= 1e-10
             assert np.isfinite(sol.sigma).all()
             assert np.isfinite(sol.u).all()
+
+
+def _paper_with(**fields):
+    """paper-example, named "odd", with the given callbacks replaced."""
+    paper = bf.get_problem("paper-example")
+    for name in ("alpha", "source", "dirichlet", "neumann"):
+        fields.setdefault(name, getattr(paper, name))
+    return bf.ProblemDefinition("odd", **fields)
 
 
 def _paper_level(level):
