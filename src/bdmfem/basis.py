@@ -96,16 +96,16 @@ class OrientedEdgeBasis:
     lambda_p (b, -a) / (2|K|) for the local vertex p = p[t, j], with
     (a, b) the gradient coefficients of the edge's other vertex and
     phi_2's sign folded in.  Slot i runs from local vertex p[t, i] to
-    p[t, 3 + i] in global edge order.  elem_to_edge, sign_edge, area
-    and num_edges come from the topology and coefficients.
+    p[t, 3 + i] in global edge order, the orientation the topology's
+    sign_edge gives.  elem_to_edge, area and num_edges come from the
+    topology and coefficients.
     """
 
-    def __init__(self, p, a, b, elem_to_edge, sign_edge, area, num_edges):
+    def __init__(self, p, a, b, elem_to_edge, area, num_edges):
         self.p = p
         self.a = a
         self.b = b
         self.elem_to_edge = elem_to_edge
-        self.sign_edge = sign_edge
         self.area = area
         self.num_edges = num_edges
 
@@ -129,8 +129,7 @@ def resolve_orientation(topo, coeffs):
                                -np.where(ascending, at_lo, at_hi)], axis=1)
 
     return OrientedEdgeBasis(p, at_other(coeffs.a), at_other(coeffs.b),
-                             topo.elem_to_edge, topo.sign_edge, coeffs.area,
-                             topo.num_edges)
+                             topo.elem_to_edge, coeffs.area, topo.num_edges)
 
 
 def _check_barycentric(w):

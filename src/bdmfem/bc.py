@@ -57,29 +57,34 @@ class LiftedSystem:
         self.load = load
 
 
-def _edge_moments(nodes, edges, g):
+def _edge_moments(nodes, edges, g, what):
     """Moments int_E g lambda_s / |E| and int_E g lambda_t / |E| of
     each edge (start z_s, end z_t) by the EDGE_GAUSS2 rule."""
     start = nodes[edges[:, 0]]
     d = nodes[edges[:, 1]] - start
     gw = EDGE_GAUSS2_WEIGHTS[:, None] * np.array(
-        [g(start + pos * d) for pos in EDGE_GAUSS2_POSITIONS], dtype=float)
+        [_sampled(g, start + pos * d, what) for pos in EDGE_GAUSS2_POSITIONS])
     return (1 - EDGE_GAUSS2_POSITIONS) @ gw, EDGE_GAUSS2_POSITIONS @ gw
 
 
-def _element_values(callback, points, what):
-    """`callback` at one point per element, if a scalar or (NT,) floats."""
+def _sampled(callback, points, what, positive=False):
+    """`callback` at (n, 2) `points` as n floats, broadcast from a scalar;
+    ValueError naming `what` for any other shape or for a value that is
+    not finite (or not positive, if asked)."""
     values = np.asarray(callback(points), dtype=float)
     if values.shape not in ((), points.shape[:1]):
         raise ValueError("{} returned shape {}, not a scalar or {}".format(
             what, values.shape, points.shape[:1]))
-    return values
+    if not np.isfinite(values).all() or positive and (values <= 0).any():
+        raise ValueError("{} must be {}finite at every point".format(
+            what, "positive and " if positive else ""))
+    return np.broadcast_to(values, points.shape[:1])
 
 
 def source_term(mesh, coeffs, source):
     """Scalar-equation load b2_l = -f(centroid) |K_l|."""
     centroids = mesh.nodes[mesh.elements].mean(axis=1)
-    return -_element_values(source, centroids, "source") * coeffs.area
+    return -_sampled(source, centroids, "source") * coeffs.area
 
 
 def dirichlet_term(mesh, boundary, g_dirichlet, family="bdm1"):
@@ -98,7 +103,7 @@ def dirichlet_term(mesh, boundary, g_dirichlet, family="bdm1"):
     if boundary.num_dirichlet == 0:
         return b1
     moment_s, moment_t = _edge_moments(mesh.nodes, boundary.dirichlet,
-                                       g_dirichlet)
+                                       g_dirichlet, "dirichlet")
     s = boundary.sign_dirichlet
     col1, col2 = flux_columns(family, boundary.ind_dirichlet, num_edges)
     np.add.at(b1, col1, -s * moment_s)
@@ -128,7 +133,8 @@ def neumann_lift(mesh, boundary, g_neumann, b1, b2):
         nodes = mesh.nodes
         edges = boundary.neumann
         length = np.hypot(*(nodes[edges[:, 1]] - nodes[edges[:, 0]]).T)
-        moment_s, moment_t = _edge_moments(nodes, edges, g_neumann)
+        moment_s, moment_t = _edge_moments(nodes, edges, g_neumann,
+                                           "neumann")
         # s (4 I_s - 2 I_t) and s (4 I_t - 2 I_s) with I = |E| moment
         s = boundary.sign_neumann * length
         cols = np.concatenate(

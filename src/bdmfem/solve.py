@@ -30,16 +30,15 @@ Gopalakrishnan 2004):
   column takes the mean of its sides' values.
 
 The solve is defect correction.  The first defect is the load less
-[B C'; C 0] applied to the lifted Neumann values, or the load itself
-when nothing is lifted.  Each step adds the elimination's answer for
-the current defect to the free unknowns.  In exact arithmetic one step
-gives the saddle solution; on badly shaped elements round-off can
-leave the residual above the tolerance, so up to two more steps reuse
-the factor.  No global matrix is assembled: the defects apply
-[B C'; C 0] from the same element blocks (:func:`_saddle_operator`),
-and the element tables (columns, signs, divergence rows) are built
-once per solve.  The tests keep the assembled saddle system, factored
-by SuperLU, as the reference.
+[B C'; C 0] applied to the lifted Neumann values.  Each step adds the
+elimination's answer for the current defect to the free unknowns.  In
+exact arithmetic one step gives the saddle solution; on badly shaped
+elements round-off can leave the residual above the tolerance, so up
+to two more steps reuse the factor.  No global matrix is assembled:
+the defects apply [B C'; C 0] from the same element blocks
+(:func:`_saddle_operator`), and the element tables (columns, signs,
+divergence rows) are built once per solve.  The tests keep the
+assembled saddle system, factored by SuperLU, as the reference.
 
 The reported residual is that of the saddle system on the free
 unknowns, relative to the first defect, and it is checked against the
@@ -54,7 +53,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import element_divergence, element_mass
 from .basis import _family_of, local_columns
-from .bc import _element_values, dirichlet_term, neumann_lift, source_term
+from .bc import _sampled, dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients, check_coefficients
 from .mesh import build_edge_topology, classify_boundary, require_valid
 
@@ -273,8 +272,9 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
         If `tol` is outside (0, 1), the load fits no family, or
         `blocks` fit the other one.
     SolverError
-        On a singular element block or factorization, or a relative
-        residual above `tol`.
+        If an element block is singular, the multiplier system cannot
+        be factored, or the solution is not finite or its relative
+        residual exceeds `tol`.
     """
     if not 0 < tol < 1:
         raise ValueError("tolerance {!r} must lie in (0, 1)".format(tol))
@@ -290,16 +290,9 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     div = element_divergence(topo, family)
     sides = np.bincount(columns.ravel(), minlength=n)
 
-    # the flux mass diagonal, summed from the block diagonals
-    diagonal = np.bincount(columns.ravel(), np.diagonal(
-        blocks, axis1=1, axis2=2).ravel(), minlength=n)
-    if not diagonal[free[free < n]].all():
-        raise SolverError("flux mass diagonal degenerate: a free flux "
-                          "column has a zero diagonal entry")
-
     apply = _saddle_operator(blocks, columns, div, n)
     sol = lifted.sol.copy()
-    r = lifted.load - apply(sol) if free.size < sol.size else lifted.load
+    r = lifted.load - apply(sol)
     # relative to the first defect, absolute for a zero one
     norm_rhs = np.linalg.norm(r[free]) or 1.0
     solve = _hybridize(blocks, columns, signs, div, sides, free, centroids)
@@ -326,15 +319,11 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
 
 def _element_alpha(mesh, problem):
     """Element centroids, summed in coordinate order so that the vertex
-    order leaves no round-off, and the problem's alpha at them, a scalar
-    or one value per element, positive and finite (ValueError otherwise)."""
+    order leaves no round-off, and the problem's alpha at them, one value
+    per element, positive and finite (ValueError otherwise)."""
     centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
-    what = "problem {!r}: alpha".format(problem.name)
-    alpha = _element_values(problem.alpha, centroids, what)
-    if not (np.isfinite(alpha).all() and (alpha > 0).all()):
-        raise ValueError(what + " must be positive and finite on every "
-                         "element")
-    return centroids, alpha
+    return centroids, _sampled(problem.alpha, centroids, "problem {!r}: "
+                               "alpha".format(problem.name), positive=True)
 
 
 def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
@@ -360,8 +349,9 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     Raises
     ------
     ValueError
-        If `method` is not "direct", alpha or the source is not one
-        value per element or a scalar, or alpha is not positive and finite.
+        If `method` is not "direct", alpha, the source or the boundary
+        data are not a scalar or one finite value per point, or alpha is
+        not positive.
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
     """
@@ -378,10 +368,10 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
 
     centroids, alpha = _element_alpha(mesh, problem)
     blocks = element_mass(topo, coeffs, 1.0 / alpha, family)
-    b1 = dirichlet_term(mesh, boundary, problem.dirichlet, family)
     try:
+        b1 = dirichlet_term(mesh, boundary, problem.dirichlet, family)
         b2 = source_term(mesh, coeffs, problem.source)
+        lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2)
     except ValueError as e:
         raise ValueError("problem {!r}: {}".format(problem.name, e)) from None
-    lifted = neumann_lift(mesh, boundary, problem.neumann, b1, b2)
     return solve_reduced(lifted, topo, blocks, centroids, tol)

@@ -23,9 +23,9 @@ def unit_triangle_basis():
 
 class TestOrientation:
 
-    def test_swapped_slot(self, paper_oriented):
+    def test_swapped_slot(self, paper_topo, paper_oriented):
         # element 0 traverses its first edge against global order
-        assert paper_oriented.sign_edge[0, 0] == -1
+        assert paper_topo.sign_edge[0, 0] == -1
         assert paper_oriented.p[0, 0] == 2
         assert paper_oriented.p[0, 3] == 1
 

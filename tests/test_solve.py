@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import bdmfem as bf
 from bdmfem.cli import main
@@ -116,25 +117,41 @@ class TestSolveProblem:
         with pytest.raises(ValueError, match="positive"):
             bf.solve_problem(paper_mesh, bad)
 
-    @pytest.mark.parametrize("field", ["alpha", "source"])
+    @pytest.mark.parametrize("field", ["alpha", "source", "dirichlet",
+                                       "neumann"])
     @pytest.mark.parametrize("shape", [(256, 1), (257,)],
                              ids=["column", "one_more"])
     def test_callback_shape_refused(self, field, shape):
         # an (NT, 1) column would broadcast against the (NT,) areas into
-        # an (NT, NT) array before any error
+        # an (NT, NT) array before any error; boundary data are sampled
+        # at one point per edge, 24 Dirichlet and 8 Neumann ones here
         problem = _paper_with(**{field: lambda p: np.ones(shape)})
+        points = {"dirichlet": 24, "neumann": 8}.get(field, 256)
         message = "problem 'odd': {} returned shape {}, not a scalar or " \
-                  "(256,)".format(field, shape)
+                  "({},)".format(field, shape, points)
         with pytest.raises(ValueError, match=re.escape(message)):
             bf.solve_problem(_paper_level(2), problem)
 
-    @pytest.mark.parametrize("field", ["alpha", "source"])
+    @pytest.mark.parametrize("field", ["alpha", "source", "dirichlet",
+                                       "neumann"])
     def test_scalar_callback_kept(self, field):
         mesh = _paper_level(2)
         scalar, array = (bf.solve_problem(mesh, _paper_with(**{field: f}))
                          for f in (lambda p: 1.0, lambda p: np.ones(len(p))))
         assert np.array_equal(scalar.sigma, array.sigma)
         assert np.array_equal(scalar.u, array.u)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", np.inf), ("source", np.nan), ("dirichlet", np.inf),
+        ("neumann", np.nan)])
+    def test_callback_not_finite_refused(self, field, value):
+        # refused as bad data, not left to end as a non-finite solution
+        problem = _paper_with(**{field: lambda p: np.where(
+            p[:, 0] > 0.5, value, 1.0)})
+        message = "problem 'odd': {} must be {}finite at every point".format(
+            field, "positive and " if field == "alpha" else "")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bf.solve_problem(_paper_level(2), problem)
 
     def test_singular_element_block(self, tmp_path, capsys):
         # paper level 2 flattened to 1e-9 in y passes validation, but
@@ -232,19 +249,41 @@ class TestSolveReduced:
             with pytest.raises(ValueError, match="tolerance"):
                 bf.solve_reduced(lifted, topo, blocks, centroids, tol=tol)
 
-    def test_diagonal_structure_check(self, paper_mesh):
-        # a free flux column on a Dirichlet edge has one side, so
-        # zeroing its entry in that element's block zeroes its diagonal
-        _, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
-        columns, _ = bf.basis.local_columns("bdm1", topo)
-        sides = np.bincount(columns.ravel())
-        free_flux = lifted.free_dofs[lifted.free_dofs < sides.size]
-        k = free_flux[sides[free_flux] == 1][0]
-        (t,), (i,) = np.nonzero(columns == k)
-        blocks = blocks.copy()
-        blocks[t, i, i] = 0.0
-        with pytest.raises(bf.SolverError, match="diagonal"):
-            bf.solve_reduced(lifted, topo, blocks, centroids)
+    def test_zero_diagonal_column_solved(self):
+        # only the element blocks need inverses: a free flux column
+        # whose mass diagonal is zero, on its one side (a Dirichlet
+        # edge) or on both, solves like the assembled saddle system
+        # with that diagonal entry zeroed, factored by SuperLU; a block
+        # zeroed whole is singular and still refused
+        for level in range(3):
+            for family in bf.FAMILIES:
+                system, lifted, topo, blocks, centroids = self._inputs(
+                    _paper_level(level), family)
+                columns, _ = bf.basis.local_columns(family, topo)
+                sides = np.bincount(columns.ravel())
+                free = lifted.free_dofs
+                free_flux = free[free < sides.size]
+                for count in (1, 2):
+                    k = free_flux[sides[free_flux] == count][0]
+                    zeroed = blocks.copy()
+                    t, i = np.nonzero(columns == k)
+                    zeroed[t, i, i] = 0.0
+                    saddle = system.tolil()
+                    saddle[k, k] = 0.0
+                    saddle = saddle.tocsr()
+                    expected = lifted.sol.copy()
+                    expected[free] = spla.splu(
+                        saddle[free][:, free].tocsc()).solve(
+                        (lifted.load - saddle @ lifted.sol)[free])
+                    sol = bf.solve_reduced(lifted, topo, zeroed, centroids)
+                    n = sol.sigma.size
+                    assert _max_rel(sol.sigma, expected[:n]) <= 1e-10
+                    assert _max_rel(sol.u, expected[n:]) <= 1e-10
+                zeroed = blocks.copy()
+                zeroed[5] = 0.0
+                with pytest.raises(bf.SolverError,
+                                   match="element 5: singular block"):
+                    bf.solve_reduced(lifted, topo, zeroed, centroids)
 
     def test_family_from_load(self, paper_mesh):
         # the load's length fixes the family; the blocks of the other
@@ -393,9 +432,10 @@ class TestSaddleOperator:
         # the first defect from the Neumann lift and the one residual
         # check
         ("paper-2", 1e-10, 2),
-        # all Dirichlet, so no lift; the residual before and after the
-        # one refinement step this sliver mesh needs
-        ("random-29", 1e-13, 2),
+        # all Dirichlet, so nothing lifted: the first defect all the
+        # same, and the residual before and after the one refinement
+        # step this sliver mesh needs
+        ("random-29", 1e-13, 3),
     ])
     def test_applications_per_solve(self, monkeypatch, mesh, tol,
                                     applications):
@@ -420,9 +460,9 @@ class TestSaddleOperator:
         assert len(calls) == applications
 
     def test_element_tables_built_once(self, paper_mesh, monkeypatch):
-        # the zero-diagonal check, the elimination and the operator
-        # share one set of tables: one call of local_columns in the
-        # solve and one inside element_divergence
+        # the elimination and the operator share one set of tables: one
+        # call of local_columns in the solve and one inside
+        # element_divergence
         calls = []
         local_columns = bf.basis.local_columns
 
