@@ -1,4 +1,4 @@
-"""Right-hand side and boundary-condition handling.
+"""Right-hand side, boundary conditions and alpha: problem data as numbers.
 
 The source enters through the scalar equations as
 b2_l = -(f, 1)_{K_l}, integrated with the one-point centroid rule.
@@ -67,24 +67,38 @@ def _edge_moments(nodes, edges, g, what):
     return (1 - EDGE_GAUSS2_POSITIONS) @ gw, EDGE_GAUSS2_POSITIONS @ gw
 
 
-def _sampled(callback, points, what, positive=False):
-    """`callback` at (n, 2) `points` as n floats, broadcast from a scalar;
-    ValueError naming `what` for any other shape or for a value that is
-    not finite (or not positive, if asked)."""
+def _sampled(callback, points, what, positive=False, trailing=()):
+    """`callback` at (n, 2) `points` as n values of shape `trailing`,
+    broadcast from one; ValueError naming `what` for any other shape or
+    for a value that is not finite (or not positive, if asked)."""
     values = np.asarray(callback(points), dtype=float)
-    if values.shape not in ((), points.shape[:1]):
-        raise ValueError("{} returned shape {}, not a scalar or {}".format(
-            what, values.shape, points.shape[:1]))
+    shapes = (trailing, points.shape[:1] + trailing)
+    if values.shape not in shapes:
+        raise ValueError("{} returned shape {}, not {} or {}".format(
+            what, values.shape, trailing or "a scalar", shapes[1]))
     if not np.isfinite(values).all() or positive and (values <= 0).any():
         raise ValueError("{} must be {}finite at every point".format(
             what, "positive and " if positive else ""))
-    return np.broadcast_to(values, points.shape[:1])
+    return np.broadcast_to(values, shapes[1])
+
+
+def _centroids(mesh):
+    """Element centroids, summed in coordinate order so that the vertex
+    order leaves no round-off."""
+    return np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
+
+
+def _element_alpha(mesh, problem):
+    """Element centroids and the problem's alpha at them, one value per
+    element, positive and finite (ValueError otherwise)."""
+    centroids = _centroids(mesh)
+    return centroids, _sampled(problem.alpha, centroids, "problem {!r}: "
+                               "alpha".format(problem.name), positive=True)
 
 
 def source_term(mesh, coeffs, source):
     """Scalar-equation load b2_l = -f(centroid) |K_l|."""
-    centroids = mesh.nodes[mesh.elements].mean(axis=1)
-    return -_sampled(source, centroids, "source") * coeffs.area
+    return -_sampled(source, _centroids(mesh), "source") * coeffs.area
 
 
 def dirichlet_term(mesh, boundary, g_dirichlet, family="bdm1"):

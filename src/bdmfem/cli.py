@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .basis import FAMILIES
-from .geometry import DegenerateElementError, barycentric_gradients
+from .geometry import barycentric_gradients
 from .mesh import (MeshError, build_edge_topology, classify_boundary,
                    read_mesh, validate_mesh)
 from .problems import BUILTIN_MESHES, PROBLEMS, builtin_mesh, get_problem
@@ -118,7 +118,7 @@ def _format_sci(x):
 
 
 def cmd_solve(args):
-    from . import assembly, norms, solve
+    from . import assembly, bc, norms, solve
     mesh = _load_mesh(args.mesh)
     problem = get_problem(args.problem)
     topo = build_edge_topology(mesh)
@@ -167,7 +167,7 @@ def cmd_solve(args):
                 for k, v in enumerate(data):
                     fh.write("{},{},{:.17e}\n".format(name, k, v))
     if args.dump_matrix:
-        inv_alpha = 1.0 / solve._element_alpha(mesh, problem)[1]
+        inv_alpha = 1.0 / bc._element_alpha(mesh, problem)[1]
         system = assembly.assemble_system(
             assembly.assemble_mass(topo, coeffs, inv_alpha, args.family),
             assembly.assemble_divergence(topo, args.family))
@@ -240,7 +240,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MeshError, DegenerateElementError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # MeshError among them
         print("bdmfem: {}".format(exc), file=sys.stderr)
         return EXIT_DATA
     except RuntimeError as exc:

@@ -371,6 +371,12 @@ def classify_boundary(mesh, topo):
     return BoundaryEdges(*parts[DIRICHLET], *parts[NEUMANN], topo.num_edges)
 
 
+# children of a split element: corners over (v0, v1, v2, m0, m1, m2),
+# m_i the midpoint of local edge i; markers over (b0, b1, b2, 0)
+_CHILD_CORNERS = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2], [3, 4, 5]])
+_CHILD_MARKERS = np.array([[3, 1, 2], [0, 3, 2], [0, 1, 3], [3, 3, 3]])
+
+
 def uniform_refine(mesh):
     """Split every element into four via the edge midpoints.
 
@@ -384,23 +390,10 @@ def uniform_refine(mesh):
     midpoints = mesh.nodes[topo.edges].mean(axis=1)
     nodes = np.vstack([mesh.nodes, midpoints])
 
-    v = mesh.elements
-    m = mesh.num_nodes + topo.elem_to_edge  # midpoint of local edge i
-    b = mesh.boundary_markers
-    zero = np.zeros(mesh.num_elements, dtype=np.int64)
-
-    elements = np.vstack([
-        np.column_stack([v[:, 0], m[:, 2], m[:, 1]]),
-        np.column_stack([m[:, 2], v[:, 1], m[:, 0]]),
-        np.column_stack([m[:, 1], m[:, 0], v[:, 2]]),
-        np.column_stack([m[:, 0], m[:, 1], m[:, 2]]),
-    ])
-    markers = np.vstack([
-        np.column_stack([zero, b[:, 1], b[:, 2]]),
-        np.column_stack([b[:, 0], zero, b[:, 2]]),
-        np.column_stack([b[:, 0], b[:, 1], zero]),
-        np.column_stack([zero, zero, zero]),
-    ])
+    corners = np.hstack([mesh.elements, mesh.num_nodes + topo.elem_to_edge])
+    marks = np.pad(mesh.boundary_markers, ((0, 0), (0, 1)))
+    elements = np.concatenate([corners[:, child] for child in _CHILD_CORNERS])
+    markers = np.concatenate([marks[:, child] for child in _CHILD_MARKERS])
     return Mesh(nodes, elements, markers)
 
 

@@ -17,11 +17,12 @@ import numpy as np
 
 from .basis import (_family_of, flux_columns, flux_dof_count,
                     resolve_orientation)
+from .bc import _element_alpha, _sampled
 from .geometry import (barycentric_gradients, check_coefficients,
                        edge_geometry)
 from .mesh import (build_edge_topology, check_topology, require_valid,
                    uniform_refine)
-from .solve import _element_alpha, solve_problem
+from .solve import solve_problem
 
 __all__ = [
     "TriangleQuadrature",
@@ -154,8 +155,8 @@ def compute_errors(mesh, topo, coeffs, solution, problem):
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
     ValueError
-        If `solution` does not have this mesh's number of unknowns, or
-        alpha is not positive and finite on every element.
+        If `solution` does not fit this mesh, or alpha, exact_u or
+        exact_sigma break the contract stated in :mod:`bdmfem.problems`.
     """
     if not problem.has_exact_solution:
         raise ValueError(
@@ -182,13 +183,13 @@ def compute_errors(mesh, topo, coeffs, solution, problem):
         for e in np.eye(3)])
     sig_h = np.tensordot(quad.barycentric, vertex, axes=([1], [0]))
     points = quad.physical_points(mesh).reshape(-1, 2)
-    d = np.asarray(problem.exact_sigma(points), dtype=float).reshape(
-        sig_h.shape) - sig_h
-    du = np.asarray(problem.exact_u(points), dtype=float).reshape(
-        -1, nt) - solution.u
+    name = "problem {!r}: ".format(problem.name)
+    d = _sampled(problem.exact_sigma, points, name + "exact_sigma",
+                 trailing=(2,)).reshape(sig_h.shape) - sig_h
+    u = _sampled(problem.exact_u, points, name + "exact_u").reshape(-1, nt)
     err2_s = np.dot(inv_alpha * coeffs.area,
                     quad.weights @ np.einsum("qtd,qtd->qt", d, d))
-    err2_u = np.dot(coeffs.area, quad.weights @ (du * du))
+    err2_u = np.dot(coeffs.area, quad.weights @ (u - solution.u) ** 2)
     return np.sqrt(err2_s), np.sqrt(err2_u), "direct"
 
 

@@ -1,10 +1,12 @@
 """Built-in problem definitions and the 16-element reference mesh.
 
 Every field of a problem is a vectorized callable mapping an (n, 2)
-array of points to n values ((n, 2) for the flux).  Neumann data, where
-meaningful, is the outward normal flux on the top boundary y = 1 — the
-segment the reference mesh marks as Neumann; the other built-in meshes
-derived from it by refinement keep that property.
+array of points to n values or one scalar ((n, 2) or one 2-vector for
+the flux), all finite and alpha positive; anything else is a ValueError
+naming the problem and the field, an (n, 1) column included.  Neumann
+data, where meaningful, is the outward normal flux on the top boundary
+y = 1 — the segment the reference mesh marks as Neumann; the other
+built-in meshes derived from it by refinement keep that property.
 """
 
 import numpy as np
@@ -25,8 +27,7 @@ class ProblemDefinition:
     neumann : callable or None
         Outward normal flux sigma . n on the Neumann boundary.
     exact_u, exact_sigma : callables or None
-        Exact solution fields, for error measurement; the errors
-        integrate their pointwise differences from the discrete fields.
+        Exact solution fields, for the error norms.
     """
 
     def __init__(self, name, alpha, source, dirichlet, neumann=None,

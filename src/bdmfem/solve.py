@@ -31,7 +31,7 @@ Gopalakrishnan 2004):
 
 The solve is defect correction.  The first defect is the load less
 [B C'; C 0] applied to the lifted Neumann values.  Each step adds the
-elimination's answer for the current defect to the free unknowns.  In
+elimination's answer for the defect's free rows to the free unknowns.  In
 exact arithmetic one step gives the saddle solution; on badly shaped
 elements round-off can leave the residual above the tolerance, so up
 to two more steps reuse the factor.  No global matrix is assembled:
@@ -53,7 +53,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import element_divergence, element_mass
 from .basis import _family_of, local_columns
-from .bc import _sampled, dirichlet_term, neumann_lift, source_term
+from .bc import _element_alpha, dirichlet_term, neumann_lift, source_term
 from .geometry import barycentric_gradients, check_coefficients
 from .mesh import build_edge_topology, classify_boundary, require_valid
 
@@ -172,8 +172,8 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     (see the module docstring).
 
     Returns ``solve(load)``, the flux and scalar unknowns, as one
-    vector, for a load [b1; b2] and zero values on the unknowns
-    outside `free`.
+    vector, for the rows in `free` of a load [b1; b2] (the others count
+    as zero) and zero values on the unknowns outside `free`.
     """
     nt, k = columns.shape
     n = sides.size
@@ -216,6 +216,7 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
         raise SolverError("direct factorization failed: {}".format(exc))
 
     def solve(load):
+        load = np.where(fixed, 0.0, load)
         # b1 split evenly between the sides of a column, b2 per element
         base = np.einsum("tij,tj->ti", inv, np.column_stack(
             [load[columns] / sides[columns], load[n:]]))
@@ -317,15 +318,6 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
                          free.size)
 
 
-def _element_alpha(mesh, problem):
-    """Element centroids, summed in coordinate order so that the vertex
-    order leaves no round-off, and the problem's alpha at them, one value
-    per element, positive and finite (ValueError otherwise)."""
-    centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
-    return centroids, _sampled(problem.alpha, centroids, "problem {!r}: "
-                               "alpha".format(problem.name), positive=True)
-
-
 def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
                   topo=None, coeffs=None):
     """Validate a mesh, then solve a diffusion problem on it.
@@ -349,9 +341,8 @@ def solve_problem(mesh, problem, family="bdm1", method="direct", tol=1e-10,
     Raises
     ------
     ValueError
-        If `method` is not "direct", alpha, the source or the boundary
-        data are not a scalar or one finite value per point, or alpha is
-        not positive.
+        If `method` is not "direct", or alpha, the source or the boundary
+        data break the contract stated in :mod:`bdmfem.problems`.
     MeshTopologyError
         If `topo` or `coeffs` were built for another mesh.
     """

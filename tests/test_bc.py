@@ -6,7 +6,7 @@ import pytest
 
 import bdmfem as bf
 from conftest import (integrate_segment_exact, mark_boundary_dirichlet,
-                      normal_trace)
+                      normal_trace, relabel)
 
 
 def paper_setup(family="bdm1"):
@@ -35,6 +35,37 @@ class TestSourceTerm:
         b2 = bf.source_term(paper_mesh, paper_coeffs, f)
         centroids = paper_mesh.nodes[paper_mesh.elements].mean(axis=1)
         assert np.allclose(b2, -f(centroids) * 0.25, rtol=1e-15)
+
+    def test_samples_at_alpha_centroids(self):
+        # off the dyadic grid the plain mean of the three vertices
+        # depends on their order in the last bit; the source is sampled
+        # at alpha's centroids, summed in coordinate order, and the
+        # relabelled meshes give the same points (compared sorted, as
+        # the elements are permuted)
+        mesh = bf.builtin_mesh("paper")
+        for _ in range(3):
+            mesh = bf.uniform_refine(mesh)
+        mesh = bf.Mesh(mesh.nodes * 0.7 + [1 / 3, 0.1], mesh.elements,
+                       mesh.boundary_markers)
+
+        def sampled_at(mesh):
+            calls = []
+
+            def probe(p):
+                calls.append(p.copy())
+                return 1.0
+
+            problem = bf.ProblemDefinition("probe", alpha=probe,
+                                           source=probe, dirichlet=probe)
+            bf.bc._element_alpha(mesh, problem)
+            bf.source_term(mesh, bf.barycentric_gradients(mesh), probe)
+            at_alpha, at_source = calls
+            assert np.array_equal(at_alpha, at_source)
+            return at_source[np.lexsort(at_source.T)]
+
+        points = sampled_at(mesh)
+        for seed in (1, 2, 3):
+            assert np.array_equal(sampled_at(relabel(mesh, seed)), points)
 
 
 class TestDirichletTerm:

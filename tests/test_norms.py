@@ -1,6 +1,8 @@
 """Quadrature exactness, discrete flux evaluation, error computation
 and the convergence study driver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,42 @@ class TestComputeErrors:
             bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
                               solution, bad)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("exact_sigma", lambda p: p.T,
+         "exact_sigma returned shape (2, 192), not (2,) or (192, 2)"),
+        ("exact_u", lambda p: -(p * p).sum(axis=1, keepdims=True) / 2,
+         "exact_u returned shape (192, 1), not a scalar or (192,)"),
+        ("exact_u", lambda p: np.full(len(p), np.nan),
+         "exact_u must be finite at every point")],
+        ids=["sigma-transposed", "u-column", "u-nan"])
+    def test_exact_field_refused(self, paper_mesh, paper_topo, paper_coeffs,
+                                 field, value, message):
+        # sampled like alpha and the data: reshaped, the transposed flux
+        # would read err_sigma 2.53 (1.6e-15 with the right shape), and
+        # NaN would give a NaN err_u
+        problem = _patch_with()
+        solution = bf.solve_problem(paper_mesh, problem, topo=paper_topo,
+                                    coeffs=paper_coeffs)
+        with pytest.raises(ValueError, match=re.escape(
+                "problem 'odd': " + message)):
+            bf.compute_errors(paper_mesh, paper_topo, paper_coeffs,
+                              solution, _patch_with(**{field: value}))
+
+    def test_constant_exact_fields(self, paper_mesh, paper_topo,
+                                   paper_coeffs):
+        # a scalar u and a (2,) sigma broadcast over the points
+        problem = _patch_with()
+        solution = bf.solve_problem(paper_mesh, problem, topo=paper_topo,
+                                    coeffs=paper_coeffs)
+        constant, per_point = (bf.compute_errors(
+            paper_mesh, paper_topo, paper_coeffs, solution, _patch_with(
+                exact_u=u, exact_sigma=sigma)) for u, sigma in [
+            (lambda p: 0.5, lambda p: np.array([1.0, -2.0])),
+            (lambda p: np.full(len(p), 0.5),
+             lambda p: np.tile([1.0, -2.0], (len(p), 1)))])
+        assert constant == per_point
+        assert constant[0] > 0 and constant[1] > 0
+
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("solved_on", ["finer", "coarser"])
     def test_solution_of_another_mesh(self, paper_mesh, solved_on, family):
@@ -278,6 +316,15 @@ class TestComputeErrors:
                 bf.flux_dof_count(family, topo.num_edges),
                 mesh.num_elements)):
             bf.compute_errors(mesh, topo, coeffs, solution, problem)
+
+
+def _patch_with(**fields):
+    """patch-linear, named "odd", with the given callbacks replaced."""
+    patch = bf.get_problem("patch-linear")
+    for name in ("alpha", "source", "dirichlet", "neumann", "exact_u",
+                 "exact_sigma"):
+        fields.setdefault(name, getattr(patch, name))
+    return bf.ProblemDefinition("odd", **fields)
 
 
 @pytest.fixture(scope="module")
