@@ -182,30 +182,22 @@ def cmd_converge(args):
     report = convergence_study(problem, mesh, args.levels,
                                family=args.family, tol=args.tol)
 
-    lines = ["h,err_sigma,ratio_sigma,err_u,ratio_u"]
-    for row, (rs, ru) in zip(report.rows, report.ratios()):
-        lines.append("{:g},{},{},{},{}".format(
-            row.h,
-            _format_sci(row.err_sigma),
-            "" if rs is None else "{:.4f}".format(rs),
-            _format_sci(row.err_u),
-            "" if ru is None else "{:.4f}".format(ru)))
-    csv = "\n".join(lines) + "\n"
+    csv = ["h,err_sigma,ratio_sigma,err_u,ratio_u"]
+    table = ["{:>10} {:>9} {:>12} {:>11} {:>12} {:>9}".format(
+        "h", "elements", "err_sigma", "ratio", "err_u", "ratio")]
+    for row, ratios in zip(report.rows, report.ratios()):
+        es, eu = _format_sci(row.err_sigma), _format_sci(row.err_u)
+        rs, ru = ("" if r is None else "{:.4f}".format(r) for r in ratios)
+        csv.append("{:g},{},{},{},{}".format(row.h, es, rs, eu, ru))
+        table.append("{:>10g} {:>9} {:>12} {:>11} {:>12} {:>9}".format(
+            row.h, row.num_elements, es, rs or "-", eu, ru or "-"))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(csv)
+            fh.write("\n".join(csv) + "\n")
 
     print("problem:  {} ({}), {} level(s)".format(problem.name, args.family,
                                                   args.levels))
-    header = "{:>10} {:>9} {:>12} {:>11} {:>12} {:>9}".format(
-        "h", "elements", "err_sigma", "ratio", "err_u", "ratio")
-    print(header)
-    for row, (rs, ru) in zip(report.rows, report.ratios()):
-        print("{:>10g} {:>9} {:>12} {:>11} {:>12} {:>9}".format(
-            row.h, row.num_elements, _format_sci(row.err_sigma),
-            "-" if rs is None else "{:.4f}".format(rs),
-            _format_sci(row.err_u),
-            "-" if ru is None else "{:.4f}".format(ru)))
+    print("\n".join(table))
     return EXIT_OK
 
 

@@ -139,7 +139,7 @@ def barycentric_coordinates(mesh, coeffs, elements, points):
     elements : (n,) int array
         Element index for each query point.
     points : (n, 2) float array
-        Physical coordinates.
+        Physical coordinates, one per element, else ValueError.
 
     Returns
     -------
@@ -149,6 +149,9 @@ def barycentric_coordinates(mesh, coeffs, elements, points):
     """
     elements = np.asarray(elements)
     points = np.asarray(points, dtype=float)
+    if points.shape != elements.shape + (2,):
+        raise ValueError("points of shape {} given for elements of shape {}"
+                         .format(points.shape, elements.shape))
     tri = mesh.nodes[mesh.elements[elements]]  # (n, 3, 2)
     lam = np.empty((points.shape[0], 3))
     for i in range(3):

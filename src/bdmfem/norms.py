@@ -115,7 +115,8 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
         Flux coefficients: 2 NE for "bdm1", NE for "rt0", else ValueError.
     oriented : OrientedEdgeBasis
     lam : (n, 3) float array
-        Barycentric coordinates, one row per evaluated element.
+        Barycentric coordinates, one row per evaluated element, else
+        ValueError.
     elements : (n,) int array, optional
         Elements to evaluate in; all of them (in order) when omitted.
 
@@ -131,6 +132,9 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
     inv2a = 1.0 / (2 * oriented.area[elements])
     rows = np.arange(lam.shape[0])
     p, a, b = (x[elements] for x in (oriented.p, oriented.a, oriented.b))
+    if lam.shape != (p.shape[0], 3):
+        raise ValueError("lam of shape {} given, {} elements need ({}, 3)"
+                         .format(lam.shape, p.shape[0], p.shape[0]))
 
     out = np.zeros((lam.shape[0], 2))
     for j in range(6):

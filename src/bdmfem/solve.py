@@ -101,7 +101,7 @@ _LEAF_SIZE = 4
 _PANEL_SIZE = 4
 
 
-def _dissection_rank(centroids, columns, signs, joined):
+def _dissection_rank(centroids, columns, joined):
     """Nested-dissection number of every multiplier (George 1973).
 
     Every part of more than _LEAF_SIZE elements is cut at the median of
@@ -146,21 +146,17 @@ def _dissection_rank(centroids, columns, signs, joined):
     pos = np.empty(nt, dtype=np.int64)
     pos[np.argsort(code * nt + ranks[0], kind="stable")] = index
 
-    # the plus and minus side of every column; signs are opposite on
-    # the two sides of an interior one
-    plus = np.full(joined.size, -1)
-    minus = np.full(joined.size, -1)
-    for side, mask in ((plus, signs > 0), (minus, signs < 0)):
-        element, slot = np.nonzero(mask)
-        side[columns[element, slot]] = element
-    plus, minus = plus[joined], minus[joined]
-    plus = np.where(plus < 0, minus, plus)
-    minus = np.where(minus < 0, plus, minus)
+    # the first and last element of every joined column, by label; a
+    # one-sided column gets its element twice
+    owner = np.argsort(columns.ravel(), kind="stable") // columns.shape[1]
+    counts = np.bincount(columns.ravel(), minlength=joined.size)
+    end = np.cumsum(counts)[joined]
+    first, last = owner[end - counts[joined]], owner[end - 1]
     # the path bits below the separating node, set to ones: numbering
     # nodes by that and then by height is post order
-    below = np.frexp(code[plus] ^ code[minus])[1].astype(np.int64)
-    node = (code[plus] | ((1 << below) - 1)) * (depth + 1) + below
-    a, b = pos[plus], pos[minus]
+    below = np.frexp(code[first] ^ code[last])[1].astype(np.int64)
+    node = (code[first] | ((1 << below) - 1)) * (depth + 1) + below
+    a, b = pos[first], pos[last]
     order = np.lexsort((np.minimum(a, b) * pos.size + np.maximum(a, b), node))
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
@@ -196,7 +192,7 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     joined = (sides == 2) | fixed[:n]
     count = int(joined.sum())
     mult = np.full(n, count)
-    mult[joined] = _dissection_rank(centroids, columns, signs, joined)
+    mult[joined] = _dissection_rank(centroids, columns, joined)
     mult = mult[columns]
     jump = np.where(mult < count, signs, 0)
 
@@ -270,8 +266,9 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     Raises
     ------
     ValueError
-        If `tol` is outside (0, 1), the load fits no family, or
-        `blocks` fit the other one.
+        If `tol` is outside (0, 1), the load fits no family, `blocks`
+        fit the other one, or `blocks` or `centroids` do not fit the NT
+        elements (or a centroid is not finite).
     SolverError
         If an element block is singular, the multiplier system cannot
         be factored, or the solution is not finite or its relative
@@ -284,10 +281,14 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     n = lifted.load.size - topo.elem_to_edge.shape[0]
     family = _family_of(n, topo.num_edges)
     columns, signs = local_columns(family, topo)
-    k = columns.shape[1]
+    nt, k = columns.shape
     if blocks.shape[1:] != (k, k):
         raise ValueError("element blocks of size {} given, {} flux unknowns "
                          "need size {}".format(blocks.shape[1], n, k))
+    given, need = (blocks.shape, centroids.shape), ((nt, k, k), (nt, 2))
+    if given != need or not np.isfinite(centroids).all():
+        raise ValueError("blocks {} and centroids {} given, {} elements "
+                         "need {} and finite {}".format(*given, nt, *need))
     div = element_divergence(topo, family)
     sides = np.bincount(columns.ravel(), minlength=n)
 

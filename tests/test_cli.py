@@ -245,6 +245,22 @@ class TestConverge:
         assert "elements" in table
         assert " 16 " in table or "16" in table
 
+    def test_table(self, capsys):
+        # the whole table, byte for byte
+        code = main(["converge", "--mesh", "builtin:paper",
+                     "--problem", "paper-example", "--levels", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "problem:  paper-example (bdm1), 3 level(s)\n"
+            "         h  elements    err_sigma       ratio        err_u"
+            "     ratio\n"
+            "         1        16  1.69684e-01           -  4.97119e-01"
+            "         -\n"
+            "       0.5        64  4.20101e-02      4.0391  2.46050e-01"
+            "    2.0204\n"
+            "      0.25       256  1.05834e-02      3.9694  1.22540e-01"
+            "    2.0079\n")
+
     def test_single_level(self, tmp_path, capsys):
         out_csv = tmp_path / "one.csv"
         code = main(["converge", "--mesh", "builtin:paper",

@@ -104,6 +104,14 @@ def test_barycentric_coordinates_vertices_and_centroid(paper_mesh,
     assert np.allclose(lam, 1.0 / 3.0, atol=1e-14)
 
 
+def test_barycentric_coordinates_shape_refused(paper_mesh, paper_coeffs):
+    # 3 points for 2 elements failed with numpy's broadcast error
+    with pytest.raises(ValueError, match=r"points of shape \(3, 2\) given "
+                       r"for elements of shape \(2,\)"):
+        bf.barycentric_coordinates(paper_mesh, paper_coeffs, [0, 1],
+                                   np.zeros((3, 2)))
+
+
 def test_barycentric_coordinates_partition_of_unity():
     mesh = random_mesh(seed=4)
     coeffs = bf.barycentric_gradients(mesh)

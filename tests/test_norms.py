@@ -163,6 +163,18 @@ class TestEvalSigmaH:
         got = bf.eval_sigma_h(flux, oriented, lam[subset], elements=subset)
         assert np.array_equal(got, full[subset])
 
+    @pytest.mark.parametrize("rows, elements", [(3, [0, 1]), (16, None)])
+    def test_lam_shape_refused(self, paper_topo, paper_coeffs, rows,
+                               elements):
+        # 3 rows for 2 elements, and 2 columns, failed with IndexError
+        oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
+        lam = np.full((rows, 3 if elements else 2), 1 / 3)
+        need = 2 if elements else 16
+        with pytest.raises(ValueError, match=r"lam of shape \({}, {}\) given, "
+                           r"{} elements need \({}, 3\)".format(
+                               *lam.shape, need, need)):
+            bf.eval_sigma_h(np.zeros(56), oriented, lam, elements)
+
     def test_midpoint_continuity(self, paper_mesh):
         # the normal component of sigma_h matches from both sides of
         # every interior edge (H(div) conformity), tested at three

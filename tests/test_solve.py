@@ -300,6 +300,26 @@ class TestSolveReduced:
                                                  blocks.shape[1])):
                 bf.solve_reduced(lifted, topo, wrong, centroids)
 
+    @pytest.mark.parametrize("case", ["centroids-nan", "centroids-twice",
+                                      "centroids-10", "blocks-10"])
+    def test_element_arrays_fit_mesh(self, paper_mesh, case):
+        # NaN centroids solved with 11 times the fill at paper level 4 and
+        # twice as many were accepted; the short arrays failed in numpy
+        _, lifted, topo, blocks, centroids = self._inputs(paper_mesh)
+        if case == "centroids-nan":
+            centroids = np.full_like(centroids, np.nan)
+        elif case == "centroids-twice":
+            centroids = np.vstack([centroids, centroids])
+        elif case == "centroids-10":
+            centroids = centroids[:10]
+        else:
+            blocks = blocks[:10]
+        with pytest.raises(ValueError, match=r"blocks \({}, 6, 6\) and "
+                           r"centroids \({}, 2\) given, 16 elements need "
+                           r"\(16, 6, 6\) and finite \(16, 2\)".format(
+                               blocks.shape[0], centroids.shape[0])):
+            bf.solve_reduced(lifted, topo, blocks, centroids)
+
     def test_refinement_on_slivers(self):
         # areas spread 470-fold: the hybridized elimination alone leaves
         # a saddle residual of 2.1e-10, a refinement step 2e-14
@@ -559,7 +579,7 @@ def test_dissection_rank_matches_reference(mesh, family):
         joined[neumann] = True
     # as in solve_problem: summed in coordinate order
     centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
-    rank = bf.solve._dissection_rank(centroids, columns, signs, joined)
+    rank = bf.solve._dissection_rank(centroids, columns, joined)
     assert np.array_equal(rank,
                           _reference_dissection_rank(centroids, columns,
                                                      joined))
