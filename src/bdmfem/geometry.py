@@ -149,7 +149,7 @@ def barycentric_coordinates(mesh, coeffs, elements, points):
     """
     elements = np.asarray(elements)
     points = np.asarray(points, dtype=float)
-    if points.shape != elements.shape + (2,):
+    if elements.ndim != 1 or points.shape != elements.shape + (2,):
         raise ValueError("points of shape {} given for elements of shape {}"
                          .format(points.shape, elements.shape))
     tri = mesh.nodes[mesh.elements[elements]]  # (n, 3, 2)

@@ -127,6 +127,9 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
     family = _family_of(flux.size, oriented.num_edges)
     if elements is None:
         elements = slice(None)
+    elif np.ndim(elements) != 1:
+        raise ValueError("elements of shape {} given, need (n,)"
+                         .format(np.shape(elements)))
     columns = flux_columns(family, oriented.elem_to_edge[elements],
                            oriented.num_edges)
     inv2a = 1.0 / (2 * oriented.area[elements])

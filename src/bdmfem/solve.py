@@ -29,16 +29,17 @@ Gopalakrishnan 2004):
 * flux and scalar are recovered element by element, and each flux
   column takes the mean of its sides' values.
 
-The solve is defect correction.  The first defect is the load less
-[B C'; C 0] applied to the lifted Neumann values.  Each step adds the
-elimination's answer for the defect's free rows to the free unknowns.  In
-exact arithmetic one step gives the saddle solution; on badly shaped
-elements round-off can leave the residual above the tolerance, so up
-to two more steps reuse the factor.  No global matrix is assembled:
-the defects apply [B C'; C 0] from the same element blocks
-(:func:`_saddle_operator`), and the element tables (columns, signs,
-divergence rows) are built once per solve.  The tests keep the
-assembled saddle system, factored by SuperLU, as the reference.
+The solve is defect correction in mixed precision (Buttari et al.
+2008).  The first defect is the load less [B C'; C 0] applied to the
+lifted Neumann values; each step adds the elimination's answer for the
+defect's free rows to the free unknowns.  Only S is factored and
+back-solved in float32, which halves L + U.  Steps go on while each
+cuts the defect tenfold, down to sqrt(N) eps64 of the first (LAPACK
+dsgesv); a stall above the tolerance, or an S beyond float32, restarts
+from the lift with a float64 factor, for at most three steps.  The
+defects apply [B C'; C 0] from the element blocks and tables, built
+once per solve (:func:`_saddle_operator`): no global matrix is
+assembled, but the tests keep one, factored by SuperLU, as reference.
 
 The reported residual is that of the saddle system on the free
 unknowns, relative to the first defect, and it is checked against the
@@ -101,7 +102,7 @@ _LEAF_SIZE = 4
 _PANEL_SIZE = 4
 
 
-def _dissection_rank(centroids, columns, joined):
+def _dissection_rank(centroids, columns, sides, joined):
     """Nested-dissection number of every multiplier (George 1973).
 
     Every part of more than _LEAF_SIZE elements is cut at the median of
@@ -149,9 +150,8 @@ def _dissection_rank(centroids, columns, joined):
     # the first and last element of every joined column, by label; a
     # one-sided column gets its element twice
     owner = np.argsort(columns.ravel(), kind="stable") // columns.shape[1]
-    counts = np.bincount(columns.ravel(), minlength=joined.size)
-    end = np.cumsum(counts)[joined]
-    first, last = owner[end - counts[joined]], owner[end - 1]
+    end = np.cumsum(sides)[joined]
+    first, last = owner[end - sides[joined]], owner[end - 1]
     # the path bits below the separating node, set to ones: numbering
     # nodes by that and then by height is post order
     below = np.frexp(code[first] ^ code[last])[1].astype(np.int64)
@@ -164,12 +164,13 @@ def _dissection_rank(centroids, columns, joined):
 
 
 def _hybridize(blocks, columns, signs, div, sides, free, centroids):
-    """Eliminate the element blocks and factor the multiplier system
-    (see the module docstring).
+    """Eliminate the element blocks (see the module docstring).
 
-    Returns ``solve(load)``, the flux and scalar unknowns, as one
-    vector, for the rows in `free` of a load [b1; b2] (the others count
-    as zero) and zero values on the unknowns outside `free`.
+    Returns ``factor(dtype)``, which factors the multiplier system in
+    `dtype` and returns ``solve(load)``: the float64 flux and scalar
+    unknowns for the rows in `free` of a load [b1; b2] (the others
+    count as zero), zero outside `free`.  In float32 it returns None if
+    S is not finite once cast or SuperLU finds the factor singular.
     """
     nt, k = columns.shape
     n = sides.size
@@ -192,42 +193,50 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     joined = (sides == 2) | fixed[:n]
     count = int(joined.sum())
     mult = np.full(n, count)
-    mult[joined] = _dissection_rank(centroids, columns, joined)
+    mult[joined] = _dissection_rank(centroids, columns, sides, joined)
     mult = mult[columns]
     jump = np.where(mult < count, signs, 0)
 
-    # S = sum_K E_K H_K E_K' with H_K the flux block of the inverse;
-    # the zero row and column of the placeholder are cut off
-    rows = np.broadcast_to(mult[:, :, None], (nt, k, k))
-    cols = np.broadcast_to(mult[:, None, :], (nt, k, k))
-    schur = sp.csc_matrix(
-        ((jump[:, :, None] * inv[:, :k, :k] * jump[:, None, :]).ravel(),
-         (rows.ravel(), cols.ravel())),
-        shape=(count + 1, count + 1))[:count, :count]
-    try:
-        lu = spla.splu(schur, permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU signals exact singularity
-        raise SolverError("direct factorization failed: {}".format(exc))
+    def factor(dtype):
+        # S = sum_K E_K H_K E_K' with H_K the flux block of the inverse;
+        # the placeholder's zero row and column are cut off
+        schur = sp.csc_matrix(
+            ((jump[:, :, None] * inv[:, :k, :k] * jump[:, None, :]).ravel(),
+             (np.repeat(mult, k, axis=1).ravel(), np.tile(mult, k).ravel())),
+            shape=(count + 1, count + 1))[:count, :count]
+        with np.errstate(over="ignore"):  # the float64 S goes once cast
+            schur = schur.astype(dtype, copy=False)
+        if dtype == np.float32 and not np.isfinite(schur.data).all():
+            return None
+        try:
+            lu = spla.splu(schur, permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU signals exact singularity
+            if dtype == np.float32:
+                return None
+            raise SolverError("direct factorization failed: {}".format(exc))
 
-    def solve(load):
-        load = np.where(fixed, 0.0, load)
-        # b1 split evenly between the sides of a column, b2 per element
-        base = np.einsum("tij,tj->ti", inv, np.column_stack(
-            [load[columns] / sides[columns], load[n:]]))
-        # sum_K E_K' y_K = 0: continuity across interior columns, no
-        # change on fixed ones
-        rhs = np.bincount(mult.ravel(), (jump * base[:, :k]).ravel(),
-                          minlength=count + 1)[:count]
-        lam = np.append(lu.solve(rhs), 0.0)
-        local_sol = base - np.einsum("tij,tj->ti", inv[:, :, :k],
-                                     jump * lam[mult])
-        flux = np.bincount(columns.ravel(), local_sol[:, :k].ravel(),
-                           minlength=n) / sides
-        return np.concatenate([flux, local_sol[:, k]])
+        def solve(load):
+            load = np.where(fixed, 0.0, load)
+            # b1 split evenly between the sides of a column, b2 per element
+            base = np.einsum("tij,tj->ti", inv, np.column_stack(
+                [load[columns] / sides[columns], load[n:]]))
+            # sum_K E_K' y_K = 0: continuity across interior columns, no
+            # change on fixed ones
+            rhs = np.bincount(mult.ravel(), (jump * base[:, :k]).ravel(),
+                              minlength=count + 1)[:count]
+            with np.errstate(over="ignore"):
+                lam = np.append(lu.solve(rhs.astype(dtype, copy=False)), 0.0)
+            local_sol = base - np.einsum("tij,tj->ti", inv[:, :, :k],
+                                         jump * lam[mult])
+            flux = np.bincount(columns.ravel(), local_sol[:, :k].ravel(),
+                               minlength=n) / sides
+            return np.concatenate([flux, local_sol[:, k]])
 
-    return solve
+        return solve
+
+    return factor
 
 
 def _saddle_operator(blocks, columns, div, n):
@@ -293,18 +302,31 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     sides = np.bincount(columns.ravel(), minlength=n)
 
     apply = _saddle_operator(blocks, columns, div, n)
-    sol = lifted.sol.copy()
-    r = lifted.load - apply(sol)
+    first = lifted.load - apply(lifted.sol)
+    norm = np.linalg.norm(first[free])
     # relative to the first defect, absolute for a zero one
-    norm_rhs = np.linalg.norm(r[free]) or 1.0
-    solve = _hybridize(blocks, columns, signs, div, sides, free, centroids)
-    # one step solves up to round-off; on badly shaped elements that can
-    # miss the tolerance, so refine against the saddle defect
-    for _ in range(3):
+    norm_rhs = norm or 1.0
+    factor = _hybridize(blocks, columns, signs, div, sides, free, centroids)
+    # refine with a float32 factor while each step cuts the defect
+    # tenfold, down to sqrt(N) eps64 of the first one (LAPACK dsgesv)
+    sol, r, solve = lifted.sol.copy(), first, factor(np.float32)
+    done = np.sqrt(free.size) * np.finfo(float).eps * norm_rhs
+    while solve is not None:
         sol[free] += solve(r)[free]
         r = lifted.load - apply(sol)
-        if np.linalg.norm(r[free]) <= tol * norm_rhs:
+        norm, last = np.linalg.norm(r[free]), norm
+        if norm <= done or not norm <= last / 10:
             break
+    if not norm <= tol * norm_rhs:
+        # stalled, or S does not fit float32: start again from the lift
+        # with a float64 factor, made once the float32 one is freed
+        solve = None
+        sol, r, solve = lifted.sol.copy(), first, factor(np.float64)
+        for _ in range(3):
+            sol[free] += solve(r)[free]
+            r = lifted.load - apply(sol)
+            if np.linalg.norm(r[free]) <= tol * norm_rhs:
+                break
 
     if not np.isfinite(sol).all():
         raise SolverError("solution contains non-finite entries")

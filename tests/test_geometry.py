@@ -112,6 +112,15 @@ def test_barycentric_coordinates_shape_refused(paper_mesh, paper_coeffs):
                                    np.zeros((3, 2)))
 
 
+def test_barycentric_coordinates_scalar_element_refused(paper_mesh,
+                                                        paper_coeffs):
+    # a scalar element with one point passed the shape check and then
+    # failed with an IndexError
+    with pytest.raises(ValueError, match=r"points of shape \(2,\) given "
+                       r"for elements of shape \(\)"):
+        bf.barycentric_coordinates(paper_mesh, paper_coeffs, 3, np.zeros(2))
+
+
 def test_barycentric_coordinates_partition_of_unity():
     mesh = random_mesh(seed=4)
     coeffs = bf.barycentric_gradients(mesh)

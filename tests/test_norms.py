@@ -175,6 +175,18 @@ class TestEvalSigmaH:
                                *lam.shape, need, need)):
             bf.eval_sigma_h(np.zeros(56), oriented, lam, elements)
 
+    @pytest.mark.parametrize("elements", [3, [[0, 1]]])
+    def test_elements_not_1d_refused(self, paper_topo, paper_coeffs,
+                                     elements):
+        # a scalar element was read as its six flux functions and
+        # reported as "6 elements"
+        oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
+        with pytest.raises(ValueError, match=r"elements of shape {} given, "
+                           r"need \(n,\)".format(
+                               re.escape(str(np.shape(elements))))):
+            bf.eval_sigma_h(np.zeros(56), oriented, np.full((1, 3), 1 / 3),
+                            elements)
+
     def test_midpoint_continuity(self, paper_mesh):
         # the normal component of sigma_h matches from both sides of
         # every interior edge (H(div) conformity), tested at three

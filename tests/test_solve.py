@@ -329,9 +329,10 @@ class TestSolveReduced:
         assert sol.residual <= 1e-13
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
-    def test_one_back_solve_from_lifted_defect(self, monkeypatch, family):
-        # the first defect carries the lifted Neumann values, so on a
-        # well-shaped mesh the first step already meets the tolerance
+    def test_back_solves_from_lifted_defect(self, monkeypatch, family):
+        # the first defect carries the lifted Neumann values; each step
+        # of the float32 factor cuts it by 1e-5 or more on this
+        # well-shaped mesh, so three reach sqrt(N) eps64 of it
         solves = []
         splu = bf.solve.spla.splu
 
@@ -350,7 +351,7 @@ class TestSolveReduced:
                                bf.get_problem("paper-example"),
                                family=family)
         assert sol.residual <= 1e-10
-        assert len(solves) == 1
+        assert len(solves) == 3
 
     def test_fill_independent_of_labels(self, monkeypatch):
         # the multiplier order comes from the geometry alone: centroids
@@ -449,13 +450,14 @@ class TestSaddleOperator:
                     <= 1e-14 * np.linalg.norm(expected))
 
     @pytest.mark.parametrize("mesh, tol, applications", [
-        # the first defect from the Neumann lift and the one residual
-        # check
-        ("paper-2", 1e-10, 2),
+        # the first defect from the Neumann lift and one defect after
+        # each of the three float32 steps
+        ("paper-2", 1e-10, 4),
         # all Dirichlet, so nothing lifted: the first defect all the
-        # same, and the residual before and after the one refinement
-        # step this sliver mesh needs
-        ("random-29", 1e-13, 3),
+        # same, one after the float32 step, which cuts it only to 0.104
+        # on this sliver mesh, and one after each of the two float64
+        # steps from the lift
+        ("random-29", 1e-13, 4),
     ])
     def test_applications_per_solve(self, monkeypatch, mesh, tol,
                                     applications):
@@ -573,13 +575,14 @@ def test_dissection_rank_matches_reference(mesh, family):
     boundary = bf.classify_boundary(mesh, topo)
     columns, signs = bf.basis.local_columns(family, topo)
     n = bf.flux_dof_count(family, topo.num_edges)
-    joined = np.bincount(columns.ravel(), minlength=n) == 2
+    sides = np.bincount(columns.ravel(), minlength=n)
+    joined = sides == 2
     for neumann in bf.basis.flux_columns(family, boundary.ind_neumann,
                                          topo.num_edges):
         joined[neumann] = True
     # as in solve_problem: summed in coordinate order
     centroids = np.sort(mesh.nodes[mesh.elements.T], axis=0).mean(axis=0)
-    rank = bf.solve._dissection_rank(centroids, columns, joined)
+    rank = bf.solve._dissection_rank(centroids, columns, sides, joined)
     assert np.array_equal(rank,
                           _reference_dissection_rank(centroids, columns,
                                                      joined))
@@ -594,6 +597,21 @@ def _check_against_saddle(mesh, problem, family):
     sol = bf.solve_problem(mesh, problem, family=family)
     assert _max_rel(sol.sigma, sigma) <= 1e-10
     assert _max_rel(sol.u, u) <= 1e-10
+
+
+def _contrast(c):
+    """paper-example with alpha `c` on x < 0."""
+    return _paper_with(alpha=lambda p: np.where(p[:, 0] < 0, c, 1.0))
+
+
+def _check_contrast(c, level, family):
+    mesh = _paper_level(level)
+    problem = _contrast(c)
+    sigma, u = saddle_solve(mesh, problem, family)
+    sol = bf.solve_problem(mesh, problem, family=family)
+    assert sol.residual <= 1e-10
+    assert _max_rel(sol.sigma, sigma) <= 1e-9
+    assert _max_rel(sol.u, u) <= 1e-9
 
 
 def _upper_half_neumann(mesh):
@@ -669,10 +687,56 @@ class TestHybridizedMatchesSaddle:
         # for, would add round-off of order eps cond(S) |sigma| and stop
         # bdm1 at residuals 2.4e-10 to 4.0e-10.  The unrefined reference
         # is no better than 1e-10 here
-        problem = _paper_with(alpha=lambda p: np.where(p[:, 0] < 0, 1e6, 1.0))
-        mesh = _paper_level(level)
+        _check_contrast(1e6, level, family)
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_moderate_contrast(self, level, family):
+        # alpha 1e4 on x < 0: the float32 factor alone refines to
+        # round-off, where 1e6 (test_high_contrast) stalls and goes
+        # through the float64 factor
+        _check_contrast(1e4, level, family)
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_extreme_contrast_refused(self, level, family):
+        # alpha 1e8 on x < 0 is beyond the float64 factor too: after its
+        # three steps the residual is 1.2e-9 to 1.8e-9
+        with pytest.raises(bf.SolverError, match="residual"):
+            bf.solve_problem(_paper_level(level), _contrast(1e8),
+                             family=family)
+
+    @pytest.mark.parametrize("case, dtypes", [
+        # one float32 factor, refined to round-off
+        ("paper-2-bdm1", ["float32"]),
+        ("paper-2-rt0", ["float32"]),
+        # the float32 refinement stalls: a float64 factor after it
+        ("contrast-4-bdm1", ["float32", "float64"]),
+        # S reaches 6e42, beyond float32: the float64 factor alone
+        ("overflow-2-bdm1", ["float64"]),
+        ("overflow-2-rt0", ["float64"]),
+    ])
+    def test_factor_precision(self, monkeypatch, case, dtypes):
+        kind, level, family = case.split("-")
+        mesh = _paper_level(int(level))
+        paper = bf.get_problem("paper-example")
+        # alpha times 1e40 and u divided by it: the flux, the source
+        # and the Neumann data stay as they are
+        problem = {"paper": paper, "contrast": _contrast(1e6),
+                   "overflow": _paper_with(
+                       alpha=lambda p: 1e40 * paper.alpha(p),
+                       dirichlet=lambda p: paper.dirichlet(p) / 1e40)}[kind]
         sigma, u = saddle_solve(mesh, problem, family)
+        recorded = []
+        splu = bf.solve.spla.splu
+
+        def recording(matrix, *args, **kwargs):
+            recorded.append(matrix.dtype.name)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(bf.solve.spla, "splu", recording)
         sol = bf.solve_problem(mesh, problem, family=family)
+        assert recorded == dtypes
         assert sol.residual <= 1e-10
         assert _max_rel(sol.sigma, sigma) <= 1e-9
         assert _max_rel(sol.u, u) <= 1e-9
