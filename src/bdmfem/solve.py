@@ -33,10 +33,12 @@ The solve is defect correction in mixed precision (Buttari et al.
 2008).  The first defect is the load less [B C'; C 0] applied to the
 lifted Neumann values; each step adds the elimination's answer for the
 defect's free rows to the free unknowns.  Only S is factored and
-back-solved in float32, which halves L + U.  Steps go on while each
-cuts the defect tenfold, down to sqrt(N) eps64 of the first (LAPACK
-dsgesv); a stall above the tolerance, or an S beyond float32, restarts
-from the lift with a float64 factor, for at most three steps.  The
+back-solved in float32, which halves L + U; an exact power of two
+brings the largest entry of S, and of each right-hand side, into
+[0.5, 1), well inside float32's range.  Steps go on while each cuts
+the defect tenfold, down to sqrt(N) eps64 of the first (LAPACK
+dsgesv); a pass that ends above the tolerance (a stall or an exactly
+singular factor) runs again from the lift with a float64 factor.  The
 defects apply [B C'; C 0] from the element blocks and tables, built
 once per solve (:func:`_saddle_operator`): no global matrix is
 assembled, but the tests keep one, factored by SuperLU, as reference.
@@ -170,7 +172,7 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     `dtype` and returns ``solve(load)``: the float64 flux and scalar
     unknowns for the rows in `free` of a load [b1; b2] (the others
     count as zero), zero outside `free`.  In float32 it returns None if
-    S is not finite once cast or SuperLU finds the factor singular.
+    SuperLU finds the factor singular.
     """
     nt, k = columns.shape
     n = sides.size
@@ -204,10 +206,10 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
             ((jump[:, :, None] * inv[:, :k, :k] * jump[:, None, :]).ravel(),
              (np.repeat(mult, k, axis=1).ravel(), np.tile(mult, k).ravel())),
             shape=(count + 1, count + 1))[:count, :count]
-        with np.errstate(over="ignore"):  # the float64 S goes once cast
-            schur = schur.astype(dtype, copy=False)
-        if dtype == np.float32 and not np.isfinite(schur.data).all():
-            return None
+        # 2**-power brings S's largest entry into [0.5, 1), exactly
+        power = np.frexp(np.abs(schur.data).max(initial=0.0))[1]
+        np.ldexp(schur.data, -power, out=schur.data)
+        schur = schur.astype(dtype, copy=False)
         try:
             lu = spla.splu(schur, permc_spec="NATURAL",
                            diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
@@ -226,8 +228,10 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
             # change on fixed ones
             rhs = np.bincount(mult.ravel(), (jump * base[:, :k]).ravel(),
                               minlength=count + 1)[:count]
-            with np.errstate(over="ignore"):
-                lam = np.append(lu.solve(rhs.astype(dtype, copy=False)), 0.0)
+            # the same for the right-hand side; both undone on lambda
+            shift = np.frexp(np.abs(rhs).max(initial=0.0))[1]
+            lam = lu.solve(np.ldexp(rhs, -shift).astype(dtype, copy=False))
+            lam = np.ldexp(np.append(lam, 0.0), shift - power)
             local_sol = base - np.einsum("tij,tj->ti", inv[:, :, :k],
                                          jump * lam[mult])
             flux = np.bincount(columns.ravel(), local_sol[:, :k].ravel(),
@@ -303,34 +307,30 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
 
     apply = _saddle_operator(blocks, columns, div, n)
     first = lifted.load - apply(lifted.sol)
-    norm = np.linalg.norm(first[free])
+    first_norm = np.linalg.norm(first[free])
     # relative to the first defect, absolute for a zero one
-    norm_rhs = norm or 1.0
-    factor = _hybridize(blocks, columns, signs, div, sides, free, centroids)
-    # refine with a float32 factor while each step cuts the defect
-    # tenfold, down to sqrt(N) eps64 of the first one (LAPACK dsgesv)
-    sol, r, solve = lifted.sol.copy(), first, factor(np.float32)
+    norm_rhs = first_norm or 1.0
     done = np.sqrt(free.size) * np.finfo(float).eps * norm_rhs
-    while solve is not None:
-        sol[free] += solve(r)[free]
-        r = lifted.load - apply(sol)
-        norm, last = np.linalg.norm(r[free]), norm
-        if norm <= done or not norm <= last / 10:
-            break
-    if not norm <= tol * norm_rhs:
-        # stalled, or S does not fit float32: start again from the lift
-        # with a float64 factor, made once the float32 one is freed
-        solve = None
-        sol, r, solve = lifted.sol.copy(), first, factor(np.float64)
-        for _ in range(3):
+    factor = _hybridize(blocks, columns, signs, div, sides, free, centroids)
+    for dtype in (np.float32, np.float64):
+        # from the lift, refine while each step cuts the defect tenfold,
+        # down to sqrt(N) eps64 of the first one (LAPACK dsgesv); a
+        # float64 pass only if the float32 one ends above the tolerance
+        solve = factor(dtype)
+        sol, r, norm = lifted.sol.copy(), first, first_norm
+        while solve is not None:
             sol[free] += solve(r)[free]
             r = lifted.load - apply(sol)
-            if np.linalg.norm(r[free]) <= tol * norm_rhs:
+            norm, last = np.linalg.norm(r[free]), norm
+            if norm <= done or not norm <= last / 10:
                 break
+        if norm <= tol * norm_rhs:
+            break
+        del solve  # the float32 factor goes before the float64 one comes
 
     if not np.isfinite(sol).all():
         raise SolverError("solution contains non-finite entries")
-    residual = np.linalg.norm(r[free]) / norm_rhs
+    residual = norm / norm_rhs
     if residual > tol:
         raise SolverError(
             "relative residual {:.3e} above tolerance {:.1e}; system "

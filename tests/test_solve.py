@@ -455,9 +455,10 @@ class TestSaddleOperator:
         ("paper-2", 1e-10, 4),
         # all Dirichlet, so nothing lifted: the first defect all the
         # same, one after the float32 step, which cuts it only to 0.104
-        # on this sliver mesh, and one after each of the two float64
-        # steps from the lift
-        ("random-29", 1e-13, 4),
+        # on this sliver mesh, and one after each of the three float64
+        # steps from the lift, the third of which does not cut it
+        # tenfold and ends that pass at 2.1e-14
+        ("random-29", 1e-13, 5),
     ])
     def test_applications_per_solve(self, monkeypatch, mesh, tol,
                                     applications):
@@ -670,6 +671,30 @@ class TestHybridizedMatchesSaddle:
             _check_against_saddle(mesh, problem, family)
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
+    def test_no_multiplier(self, monkeypatch, family):
+        # one triangle with every edge Dirichlet: no column is shared or
+        # lifted, so S is 0 x 0
+        mesh = mark_boundary_dirichlet(bf.Mesh(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            np.array([[0, 1, 2]])))
+        problems = list(bf.PROBLEMS.values())
+        expected = [saddle_solve(mesh, problem, family)
+                    for problem in problems]
+        shapes = []
+        splu = bf.solve.spla.splu
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(bf.solve.spla, "splu", recording)
+        for problem, (sigma, u) in zip(problems, expected):
+            sol = bf.solve_problem(mesh, problem, family=family)
+            assert _max_rel(sol.sigma, sigma) <= 1e-10
+            assert _max_rel(sol.u, u) <= 1e-10
+        assert shapes == [(0, 0)] * len(problems)
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("markers", ["mixed", "all-dirichlet"])
     @pytest.mark.parametrize("seed", [3, 19, 29])
     def test_random_mesh(self, seed, markers, family):
@@ -700,8 +725,8 @@ class TestHybridizedMatchesSaddle:
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_extreme_contrast_refused(self, level, family):
-        # alpha 1e8 on x < 0 is beyond the float64 factor too: after its
-        # three steps the residual is 1.2e-9 to 1.8e-9
+        # alpha 1e8 on x < 0 is beyond the float64 factor too: its pass
+        # stalls at residuals 1.2e-9 to 1.8e-9
         with pytest.raises(bf.SolverError, match="residual"):
             bf.solve_problem(_paper_level(level), _contrast(1e8),
                              family=family)
@@ -712,9 +737,16 @@ class TestHybridizedMatchesSaddle:
         ("paper-2-rt0", ["float32"]),
         # the float32 refinement stalls: a float64 factor after it
         ("contrast-4-bdm1", ["float32", "float64"]),
-        # S reaches 6e42, beyond float32: the float64 factor alone
-        ("overflow-2-bdm1", ["float64"]),
-        ("overflow-2-rt0", ["float64"]),
+        # S reaches 6e42, beyond float32 unless scaled by a power of two
+        ("overflow-2-bdm1", ["float32"]),
+        ("overflow-2-rt0", ["float32"]),
+        # loads beyond float32's range, or below it, scaled the same way:
+        # the multipliers of source 1e39 would overflow, and source
+        # 1e-45 with zero boundary data would be cast to zero
+        ("source-2-bdm1", ["float32"]),
+        ("source-2-rt0", ["float32"]),
+        ("tiny-2-bdm1", ["float32"]),
+        ("tiny-2-rt0", ["float32"]),
     ])
     def test_factor_precision(self, monkeypatch, case, dtypes):
         kind, level, family = case.split("-")
@@ -725,7 +757,11 @@ class TestHybridizedMatchesSaddle:
         problem = {"paper": paper, "contrast": _contrast(1e6),
                    "overflow": _paper_with(
                        alpha=lambda p: 1e40 * paper.alpha(p),
-                       dirichlet=lambda p: paper.dirichlet(p) / 1e40)}[kind]
+                       dirichlet=lambda p: paper.dirichlet(p) / 1e40),
+                   "source": _paper_with(source=lambda p: 1e39),
+                   "tiny": _paper_with(source=lambda p: 1e-45,
+                                       dirichlet=lambda p: 0.0,
+                                       neumann=lambda p: 0.0)}[kind]
         sigma, u = saddle_solve(mesh, problem, family)
         recorded = []
         splu = bf.solve.spla.splu
