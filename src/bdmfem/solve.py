@@ -37,15 +37,16 @@ back-solved in float32, which halves L + U; an exact power of two
 brings the largest entry of S, and of each right-hand side, into
 [0.5, 1), well inside float32's range.  Steps go on while each cuts
 the defect tenfold, down to sqrt(N) eps64 of the first (LAPACK
-dsgesv); a pass that ends above the tolerance (a stall or an exactly
-singular factor) runs again from the lift with a float64 factor.  The
-defects apply [B C'; C 0] from the element blocks and tables, built
-once per solve (:func:`_saddle_operator`): no global matrix is
-assembled, but the tests keep one, factored by SuperLU, as reference.
+dsgesv); a factor SuperLU finds exactly singular makes no step.  A
+pass that ends above the tolerance runs again from the lift with a
+float64 factor.  The defects apply [B C'; C 0] from the element
+blocks and tables, built once per solve (:func:`_saddle_operator`): no
+global matrix is assembled, but the tests keep one, factored by
+SuperLU, as reference.
 
 The reported residual is that of the saddle system on the free
-unknowns, relative to the first defect, and it is checked against the
-requested tolerance.
+unknowns, relative to the first defect.  It alone decides: a solve
+whose float64 pass ends above the requested tolerance is refused.
 """
 
 import time
@@ -171,8 +172,8 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     Returns ``factor(dtype)``, which factors the multiplier system in
     `dtype` and returns ``solve(load)``: the float64 flux and scalar
     unknowns for the rows in `free` of a load [b1; b2] (the others
-    count as zero), zero outside `free`.  In float32 it returns None if
-    SuperLU finds the factor singular.
+    count as zero), zero outside `free`.  It returns None if SuperLU
+    finds the factor exactly singular.
     """
     nt, k = columns.shape
     n = sides.size
@@ -214,10 +215,8 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
             lu = spla.splu(schur, permc_spec="NATURAL",
                            diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
                            options={"SymmetricMode": True})
-        except RuntimeError as exc:  # SuperLU signals exact singularity
-            if dtype == np.float32:
-                return None
-            raise SolverError("direct factorization failed: {}".format(exc))
+        except RuntimeError:  # SuperLU signals exact singularity
+            return None
 
         def solve(load):
             load = np.where(fixed, 0.0, load)
@@ -283,9 +282,8 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
         fit the other one, or `blocks` or `centroids` do not fit the NT
         elements (or a centroid is not finite).
     SolverError
-        If an element block is singular, the multiplier system cannot
-        be factored, or the solution is not finite or its relative
-        residual exceeds `tol`.
+        If an element block is singular, or the relative residual
+        exceeds `tol` or is NaN.
     """
     if not 0 < tol < 1:
         raise ValueError("tolerance {!r} must lie in (0, 1)".format(tol))
@@ -315,7 +313,8 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     for dtype in (np.float32, np.float64):
         # from the lift, refine while each step cuts the defect tenfold,
         # down to sqrt(N) eps64 of the first one (LAPACK dsgesv); a
-        # float64 pass only if the float32 one ends above the tolerance
+        # float64 pass only if the float32 one ends above the tolerance;
+        # a singular factor makes no step
         solve = factor(dtype)
         sol, r, norm = lifted.sol.copy(), first, first_norm
         while solve is not None:
@@ -324,14 +323,12 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
             norm, last = np.linalg.norm(r[free]), norm
             if norm <= done or not norm <= last / 10:
                 break
-        if norm <= tol * norm_rhs:
+        residual = norm / norm_rhs
+        if residual <= tol:
             break
         del solve  # the float32 factor goes before the float64 one comes
 
-    if not np.isfinite(sol).all():
-        raise SolverError("solution contains non-finite entries")
-    residual = norm / norm_rhs
-    if residual > tol:
+    if not residual <= tol:  # a NaN one too
         raise SolverError(
             "relative residual {:.3e} above tolerance {:.1e}; system "
             "singular or severely ill-conditioned".format(residual, tol))

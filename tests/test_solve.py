@@ -600,16 +600,55 @@ def _check_against_saddle(mesh, problem, family):
     assert _max_rel(sol.u, u) <= 1e-10
 
 
+_SPLU = spla.splu
+
+
+def _record_factors(monkeypatch):
+    """Patch `splu` to note the dtype of every factor it is asked for,
+    marked "singular" if SuperLU raises; returns the list of notes.  A
+    second call replaces the first one's patch."""
+    notes = []
+
+    def recording(matrix, *args, **kwargs):
+        try:
+            lu = _SPLU(matrix, *args, **kwargs)
+        except RuntimeError:
+            notes.append(matrix.dtype.name + " singular")
+            raise
+        notes.append(matrix.dtype.name)
+        return lu
+
+    monkeypatch.setattr(bf.solve.spla, "splu", recording)
+    return notes
+
+
 def _contrast(c):
     """paper-example with alpha `c` on x < 0."""
     return _paper_with(alpha=lambda p: np.where(p[:, 0] < 0, c, 1.0))
 
 
-def _check_contrast(c, level, family):
+# the factors each contrast takes, at levels 2 to 4 in both families,
+# and whether its solve is refused
+_CONTRAST = {1e4: (["float32"], False),
+             1e6: (["float32", "float64"], False),
+             1e8: (["float32", "float64"], True),
+             1e40: (["float32 singular", "float64"], True)}
+
+
+def _check_contrast(c, level, family, monkeypatch):
     mesh = _paper_level(level)
     problem = _contrast(c)
+    dtypes, refused = _CONTRAST[c]
+    if refused:
+        recorded = _record_factors(monkeypatch)
+        with pytest.raises(bf.SolverError, match="residual"):
+            bf.solve_problem(mesh, problem, family=family)
+        assert recorded == dtypes
+        return
     sigma, u = saddle_solve(mesh, problem, family)
+    recorded = _record_factors(monkeypatch)
     sol = bf.solve_problem(mesh, problem, family=family)
+    assert recorded == dtypes
     assert sol.residual <= 1e-10
     assert _max_rel(sol.sigma, sigma) <= 1e-9
     assert _max_rel(sol.u, u) <= 1e-9
@@ -695,6 +734,35 @@ class TestHybridizedMatchesSaddle:
         assert shapes == [(0, 0)] * len(problems)
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
+    def test_singular_multiplier_system(self, monkeypatch, tmp_path, capsys,
+                                        family):
+        # one triangle with every edge Neumann: all its columns are
+        # lifted, S is singular, and only the residual refuses the solve.
+        # SuperLU finds the float32 factor exactly singular, and for rt0
+        # the float64 one too; the bdm1 float64 factor makes a step that
+        # leaves the defect where it was
+        mesh = bf.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                       np.array([[0, 1, 2]]), np.full((1, 3), 2))
+        recorded = _record_factors(monkeypatch)
+        with pytest.raises(bf.SolverError, match="residual"):
+            bf.solve_problem(mesh, bf.get_problem("patch-linear"),
+                             family=family)
+        assert recorded == {"bdm1": ["float32 singular", "float64"],
+                            "rt0": ["float32 singular",
+                                    "float64 singular"]}[family]
+        # zero data: the first defect is zero, so the lift stands
+        recorded.clear()
+        sol = bf.solve_problem(mesh, zero_problem(), family=family)
+        assert recorded == ["float32 singular"]
+        assert sol.residual == 0.0
+        assert np.array_equal(sol.sigma, np.zeros_like(sol.sigma))
+        path = tmp_path / "neumann.mesh"
+        bf.write_mesh(mesh, path)
+        assert main(["solve", "--mesh", str(path), "--problem",
+                     "patch-linear", "--family", family]) == 4
+        assert "relative residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("markers", ["mixed", "all-dirichlet"])
     @pytest.mark.parametrize("seed", [3, 19, 29])
     def test_random_mesh(self, seed, markers, family):
@@ -706,30 +774,33 @@ class TestHybridizedMatchesSaddle:
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("level", [2, 3, 4])
-    def test_high_contrast(self, level, family):
+    def test_high_contrast(self, monkeypatch, level, family):
         # alpha 1e6 on x < 0: each step corrects only the free rows, as
         # the lifted Neumann rows' defect, O(|sigma|) and never solved
         # for, would add round-off of order eps cond(S) |sigma| and stop
         # bdm1 at residuals 2.4e-10 to 4.0e-10.  The unrefined reference
         # is no better than 1e-10 here
-        _check_contrast(1e6, level, family)
+        _check_contrast(1e6, level, family, monkeypatch)
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("level", [2, 3, 4])
-    def test_moderate_contrast(self, level, family):
+    def test_moderate_contrast(self, monkeypatch, level, family):
         # alpha 1e4 on x < 0: the float32 factor alone refines to
         # round-off, where 1e6 (test_high_contrast) stalls and goes
         # through the float64 factor
-        _check_contrast(1e4, level, family)
+        _check_contrast(1e4, level, family, monkeypatch)
 
     @pytest.mark.parametrize("family", bf.FAMILIES)
     @pytest.mark.parametrize("level", [2, 3, 4])
-    def test_extreme_contrast_refused(self, level, family):
+    def test_extreme_contrast_refused(self, monkeypatch, level, family):
         # alpha 1e8 on x < 0 is beyond the float64 factor too: its pass
-        # stalls at residuals 1.2e-9 to 1.8e-9
-        with pytest.raises(bf.SolverError, match="residual"):
-            bf.solve_problem(_paper_level(level), _contrast(1e8),
-                             family=family)
+        # stalls at residuals 1.2e-9 to 1.8e-9.  From 1e38 on, scaled S
+        # has entries below float32's normal range, SuperLU finds the
+        # float32 factor exactly singular, and the float64 pass ends at
+        # residuals of 1e22 and more
+        _check_contrast(1e8, level, family, monkeypatch)
+        if level == 2:
+            _check_contrast(1e40, level, family, monkeypatch)
 
     @pytest.mark.parametrize("case, dtypes", [
         # one float32 factor, refined to round-off
@@ -763,14 +834,7 @@ class TestHybridizedMatchesSaddle:
                                        dirichlet=lambda p: 0.0,
                                        neumann=lambda p: 0.0)}[kind]
         sigma, u = saddle_solve(mesh, problem, family)
-        recorded = []
-        splu = bf.solve.spla.splu
-
-        def recording(matrix, *args, **kwargs):
-            recorded.append(matrix.dtype.name)
-            return splu(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(bf.solve.spla, "splu", recording)
+        recorded = _record_factors(monkeypatch)
         sol = bf.solve_problem(mesh, problem, family=family)
         assert recorded == dtypes
         assert sol.residual <= 1e-10
