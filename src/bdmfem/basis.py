@@ -164,13 +164,11 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
         raise ValueError("element {} / slot {} outside 0..{} / 0..2".format(
             element, slot, nt - 1))
     w = _check_barycentric(w)
+    k = functions_per_edge(family)
     pair = [slot, 3 + slot]
     inv2a = 1.0 / (2 * oriented.area[element])
     rot = np.column_stack([oriented.b[element, pair],
                            -oriented.a[element, pair]]) * inv2a
     values = w[oriented.p[element, pair], None] * rot
-    if family == "bdm1":
-        return values
-    if family == "rt0":
-        return values.sum(axis=0, keepdims=True)
-    raise ValueError("unknown element family {!r}".format(family))
+    # rt0: the sum of the tied pair
+    return values if k == 2 else values.sum(axis=0, keepdims=True)

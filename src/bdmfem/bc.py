@@ -70,8 +70,13 @@ def _edge_moments(nodes, edges, g, what):
 def _sampled(callback, points, what, positive=False, trailing=()):
     """`callback` at (n, 2) `points` as n values of shape `trailing`,
     broadcast from one; ValueError naming `what` for any other shape or
-    for a value that is not finite (or not positive, if asked)."""
-    values = np.asarray(callback(points), dtype=float)
+    for a value that is not a finite real number (or not positive, if
+    asked)."""
+    values = np.asarray(callback(points))
+    if values.dtype.kind not in "biuf":
+        raise ValueError("{} returned {} values, not real numbers".format(
+            what, values.dtype))
+    values = values.astype(float, copy=False)
     shapes = (trailing, points.shape[:1] + trailing)
     if values.shape not in shapes:
         raise ValueError("{} returned shape {}, not {} or {}".format(

@@ -131,13 +131,22 @@ def edge_geometry(mesh, topo):
                         np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None])
 
 
+def _check_elements(elements, nt):
+    """Refuse an element index outside 0..nt-1 (a negative one would
+    wrap to another element)."""
+    bad = np.flatnonzero((elements < 0) | (elements >= nt))
+    if bad.size:
+        raise ValueError("element {} outside 0..{}".format(
+            elements[bad[0]], nt - 1))
+
+
 def barycentric_coordinates(mesh, coeffs, elements, points):
     """Barycentric coordinates of physical points, by area ratios.
 
     Parameters
     ----------
     elements : (n,) int array
-        Element index for each query point.
+        Element index (0..NT-1) for each query point, else ValueError.
     points : (n, 2) float array
         Physical coordinates, one per element, else ValueError.
 
@@ -152,6 +161,7 @@ def barycentric_coordinates(mesh, coeffs, elements, points):
     if elements.ndim != 1 or points.shape != elements.shape + (2,):
         raise ValueError("points of shape {} given for elements of shape {}"
                          .format(points.shape, elements.shape))
+    _check_elements(elements, mesh.num_elements)
     tri = mesh.nodes[mesh.elements[elements]]  # (n, 3, 2)
     lam = np.empty((points.shape[0], 3))
     for i in range(3):

@@ -18,8 +18,8 @@ import numpy as np
 from .basis import (_family_of, flux_columns, flux_dof_count,
                     resolve_orientation)
 from .bc import _element_alpha, _sampled
-from .geometry import (barycentric_gradients, check_coefficients,
-                       edge_geometry)
+from .geometry import (_check_elements, barycentric_gradients,
+                       check_coefficients, edge_geometry)
 from .mesh import (build_edge_topology, check_topology, require_valid,
                    uniform_refine)
 from .solve import solve_problem
@@ -118,7 +118,8 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
         Barycentric coordinates, one row per evaluated element, else
         ValueError.
     elements : (n,) int array, optional
-        Elements to evaluate in; all of them (in order) when omitted.
+        Elements to evaluate in (0..NT-1, else ValueError); all of them
+        (in order) when omitted.
 
     Returns
     -------
@@ -130,6 +131,8 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
     elif np.ndim(elements) != 1:
         raise ValueError("elements of shape {} given, need (n,)"
                          .format(np.shape(elements)))
+    else:
+        _check_elements(np.asarray(elements), oriented.area.shape[0])
     columns = flux_columns(family, oriented.elem_to_edge[elements],
                            oriented.num_edges)
     inv2a = 1.0 / (2 * oriented.area[elements])

@@ -2,11 +2,12 @@
 
 Every field of a problem is a vectorized callable mapping an (n, 2)
 array of points to n values or one scalar ((n, 2) or one 2-vector for
-the flux), all finite and alpha positive; anything else is a ValueError
-naming the problem and the field, an (n, 1) column included.  Neumann
-data, where meaningful, is the outward normal flux on the top boundary
-y = 1 — the segment the reference mesh marks as Neumann; the other
-built-in meshes derived from it by refinement keep that property.
+the flux), all finite real numbers and alpha positive; anything else is
+a ValueError naming the problem and the field, an (n, 1) column, a
+complex value and a string included.  Neumann data, where meaningful,
+is the outward normal flux on the top boundary y = 1 — the segment the
+reference mesh marks as Neumann; the other built-in meshes derived
+from it by refinement keep that property.
 """
 
 import numpy as np

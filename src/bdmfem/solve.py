@@ -170,10 +170,10 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
     """Eliminate the element blocks (see the module docstring).
 
     Returns ``factor(dtype)``, which factors the multiplier system in
-    `dtype` and returns ``solve(load)``: the float64 flux and scalar
-    unknowns for the rows in `free` of a load [b1; b2] (the others
-    count as zero), zero outside `free`.  It returns None if SuperLU
-    finds the factor exactly singular.
+    `dtype` and returns ``solve(defect)``: for a defect on the rows in
+    `free` of [b1; b2], the float64 correction of the unknowns in
+    `free`, in that order (the lifted Neumann flux unknowns are held).
+    It returns None if SuperLU finds the factor exactly singular.
     """
     nt, k = columns.shape
     n = sides.size
@@ -218,8 +218,9 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
         except RuntimeError:  # SuperLU signals exact singularity
             return None
 
-        def solve(load):
-            load = np.where(fixed, 0.0, load)
+        def solve(defect):
+            load = np.zeros(n + nt)
+            load[free] = defect
             # b1 split evenly between the sides of a column, b2 per element
             base = np.einsum("tij,tj->ti", inv, np.column_stack(
                 [load[columns] / sides[columns], load[n:]]))
@@ -235,7 +236,7 @@ def _hybridize(blocks, columns, signs, div, sides, free, centroids):
                                          jump * lam[mult])
             flux = np.bincount(columns.ravel(), local_sol[:, :k].ravel(),
                                minlength=n) / sides
-            return np.concatenate([flux, local_sol[:, k]])
+            return np.concatenate([flux, local_sol[:, k]])[free]
 
         return solve
 
@@ -278,9 +279,9 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     Raises
     ------
     ValueError
-        If `tol` is outside (0, 1), the load fits no family, `blocks`
-        fit the other one, or `blocks` or `centroids` do not fit the NT
-        elements (or a centroid is not finite).
+        If `tol` is outside (0, 1), if the load fits no family, or if
+        `blocks` and `centroids` are not (NT, k, k) blocks of its family
+        and NT finite points; the last message names both shapes.
     SolverError
         If an element block is singular, or the relative residual
         exceeds `tol` or is NaN.
@@ -293,9 +294,6 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     family = _family_of(n, topo.num_edges)
     columns, signs = local_columns(family, topo)
     nt, k = columns.shape
-    if blocks.shape[1:] != (k, k):
-        raise ValueError("element blocks of size {} given, {} flux unknowns "
-                         "need size {}".format(blocks.shape[1], n, k))
     given, need = (blocks.shape, centroids.shape), ((nt, k, k), (nt, 2))
     if given != need or not np.isfinite(centroids).all():
         raise ValueError("blocks {} and centroids {} given, {} elements "
@@ -304,8 +302,8 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     sides = np.bincount(columns.ravel(), minlength=n)
 
     apply = _saddle_operator(blocks, columns, div, n)
-    first = lifted.load - apply(lifted.sol)
-    first_norm = np.linalg.norm(first[free])
+    first = (lifted.load - apply(lifted.sol))[free]
+    first_norm = np.linalg.norm(first)
     # relative to the first defect, absolute for a zero one
     norm_rhs = first_norm or 1.0
     done = np.sqrt(free.size) * np.finfo(float).eps * norm_rhs
@@ -318,9 +316,9 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
         solve = factor(dtype)
         sol, r, norm = lifted.sol.copy(), first, first_norm
         while solve is not None:
-            sol[free] += solve(r)[free]
-            r = lifted.load - apply(sol)
-            norm, last = np.linalg.norm(r[free]), norm
+            sol[free] += solve(r)
+            r = (lifted.load - apply(sol))[free]
+            norm, last = np.linalg.norm(r), norm
             if norm <= done or not norm <= last / 10:
                 break
         residual = norm / norm_rhs

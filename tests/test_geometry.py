@@ -1,5 +1,7 @@
 """Barycentric coefficients, edge geometry and point location."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,16 @@ def test_barycentric_coordinates_scalar_element_refused(paper_mesh,
     with pytest.raises(ValueError, match=r"points of shape \(2,\) given "
                        r"for elements of shape \(\)"):
         bf.barycentric_coordinates(paper_mesh, paper_coeffs, 3, np.zeros(2))
+
+
+@pytest.mark.parametrize("element", [-1, 16, 99])
+def test_barycentric_coordinates_element_outside_refused(
+        paper_mesh, paper_coeffs, element):
+    # -1 read element 15's vertices, 99 failed with a bare IndexError
+    with pytest.raises(ValueError, match=re.escape(
+            "element {} outside 0..15".format(element))):
+        bf.barycentric_coordinates(paper_mesh, paper_coeffs, [0, element],
+                                   np.zeros((2, 2)))
 
 
 def test_barycentric_coordinates_partition_of_unity():

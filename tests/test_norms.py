@@ -187,6 +187,16 @@ class TestEvalSigmaH:
             bf.eval_sigma_h(np.zeros(56), oriented, np.full((1, 3), 1 / 3),
                             elements)
 
+    @pytest.mark.parametrize("element", [-1, 16, 99])
+    def test_element_outside_refused(self, paper_topo, paper_coeffs,
+                                     element):
+        # -1 evaluated element 15, 99 failed with a bare IndexError
+        oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
+        with pytest.raises(ValueError, match=re.escape(
+                "element {} outside 0..15".format(element))):
+            bf.eval_sigma_h(np.zeros(56), oriented, np.full((2, 3), 1 / 3),
+                            [0, element])
+
     def test_midpoint_continuity(self, paper_mesh):
         # the normal component of sigma_h matches from both sides of
         # every interior edge (H(div) conformity), tested at three
@@ -294,8 +304,15 @@ class TestComputeErrors:
         ("exact_u", lambda p: -(p * p).sum(axis=1, keepdims=True) / 2,
          "exact_u returned shape (192, 1), not a scalar or (192,)"),
         ("exact_u", lambda p: np.full(len(p), np.nan),
-         "exact_u must be finite at every point")],
-        ids=["sigma-transposed", "u-column", "u-nan"])
+         "exact_u must be finite at every point"),
+        ("exact_sigma", lambda p: p + 1j,
+         "exact_sigma returned complex128 values, not real numbers"),
+        ("exact_u", lambda p: np.full(len(p), "1.0"),
+         "exact_u returned <U3 values, not real numbers"),
+        ("exact_u", lambda p: b"0.5",
+         "exact_u returned |S3 values, not real numbers")],
+        ids=["sigma-transposed", "u-column", "u-nan", "sigma-complex",
+             "u-str", "u-bytes"])
     def test_exact_field_refused(self, paper_mesh, paper_topo, paper_coeffs,
                                  field, value, message):
         # sampled like alpha and the data: reshaped, the transposed flux

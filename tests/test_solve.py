@@ -153,6 +153,20 @@ class TestSolveProblem:
         with pytest.raises(ValueError, match=re.escape(message)):
             bf.solve_problem(_paper_level(2), problem)
 
+    @pytest.mark.parametrize("field", ["alpha", "source", "dirichlet",
+                                       "neumann"])
+    @pytest.mark.parametrize("value, dtype", [
+        (1 + 1j, "complex128"), ("1.0", "<U3"), (b"0.5", "|S3")],
+        ids=["complex", "str", "bytes"])
+    def test_callback_not_real_refused(self, field, value, dtype):
+        # a cast to float solved alpha 1 + 1j with its real part, after
+        # a ComplexWarning, and parsed the strings as numbers
+        problem = _paper_with(**{field: lambda p: np.full(len(p), value)})
+        message = "problem 'odd': {} returned {} values, not real " \
+                  "numbers".format(field, dtype)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bf.solve_problem(_paper_level(2), problem)
+
     def test_singular_element_block(self, tmp_path, capsys):
         # paper level 2 flattened to 1e-9 in y passes validation, but
         # the inverse of its element blocks hits an exact zero pivot
@@ -287,7 +301,7 @@ class TestSolveReduced:
 
     def test_family_from_load(self, paper_mesh):
         # the load's length fixes the family; the blocks of the other
-        # family are refused in both directions, naming both sizes
+        # family are refused in both directions, naming both shapes
         inputs = {family: self._inputs(paper_mesh, family)
                   for family in bf.FAMILIES}
         for family, other in (("bdm1", "rt0"), ("rt0", "bdm1")):
@@ -295,9 +309,9 @@ class TestSolveReduced:
             sol = bf.solve_reduced(lifted, topo, blocks, centroids)
             assert sol.family == family
             wrong = inputs[other][3]
-            with pytest.raises(ValueError, match=r"size {} given, .* need "
-                               r"size {}".format(wrong.shape[1],
-                                                 blocks.shape[1])):
+            with pytest.raises(ValueError, match=re.escape(
+                    "blocks {} and centroids".format(wrong.shape)) + ".* need "
+                    + re.escape(str(blocks.shape))):
                 bf.solve_reduced(lifted, topo, wrong, centroids)
 
     @pytest.mark.parametrize("case", ["centroids-nan", "centroids-twice",
