@@ -27,12 +27,13 @@ Assembly and flux evaluation read the bdm1 functions of every element
 from one table (:class:`OrientedEdgeBasis`, in :func:`local_columns`
 order); rt0 ties both functions of an edge to one unknown
 (:func:`flux_columns`), and duplicate summation yields P^T B P, C P and
-P^T b1 for P = [I; I].  :func:`eval_basis` spells both families out
-point by point; a flux vector's length fixes its family.
+P^T b1 for P = [I; I].  :func:`eval_basis` and `eval_sigma_h` read it
+through one formula; a flux vector's length fixes its family.
 """
 
 import numpy as np
 
+from .geometry import _element_indices
 from .mesh import LOCAL_EDGES, MeshTopologyError
 
 __all__ = [
@@ -132,6 +133,15 @@ def resolve_orientation(topo, coeffs):
                              topo.elem_to_edge, coeffs.area, topo.num_edges)
 
 
+def _function_values(oriented, elements, lam):
+    """Values of the six bdm1 functions of `elements` (an index array or
+    slice) at one barycentric point each, the rows of `lam`: (n, 6, 2),
+    in :func:`local_columns` order."""
+    p, a, b = (x[elements] for x in (oriented.p, oriented.a, oriented.b))
+    rot = np.stack([b, -a], -1) * (0.5 / oriented.area[elements, None, None])
+    return np.take_along_axis(lam, p, axis=1)[..., None] * rot
+
+
 def _check_barycentric(w):
     w = np.asarray(w, dtype=float)
     if w.shape != (3,):
@@ -163,12 +173,11 @@ def eval_basis(oriented, element, slot, w, family="bdm1"):
     if not (0 <= element < nt and 0 <= slot <= 2):
         raise ValueError("element {} / slot {} outside 0..{} / 0..2".format(
             element, slot, nt - 1))
+    if np.asarray(slot).dtype.kind not in "iu":
+        raise ValueError("slot {!r} is not an integer".format(slot))
     w = _check_barycentric(w)
     k = functions_per_edge(family)
-    pair = [slot, 3 + slot]
-    inv2a = 1.0 / (2 * oriented.area[element])
-    rot = np.column_stack([oriented.b[element, pair],
-                           -oriented.a[element, pair]]) * inv2a
-    values = w[oriented.p[element, pair], None] * rot
+    elements = _element_indices([element], nt)
+    pair = _function_values(oriented, elements, w[None])[0, [slot, 3 + slot]]
     # rt0: the sum of the tied pair
-    return values if k == 2 else values.sum(axis=0, keepdims=True)
+    return pair if k == 2 else pair.sum(axis=0, keepdims=True)

@@ -8,7 +8,8 @@ barycentric coordinate of vertex i is the affine function
 with a_i = y_{i+1} - y_{i+2} and b_i = x_{i+2} - x_{i+1} (indices
 cyclic).  Its gradient is (a_i, b_i) / (2|K|) and the 90-degree
 clockwise rotation of the gradient is (b_i, -a_i) / (2|K|).  The
-constants c_i are never needed.
+constants c_i are never needed: at a point p, lambda_i(p) is evaluated
+from the first vertex as delta_i1 + (a_i, b_i) . (p - z_1) / (2|K|).
 """
 
 import numpy as np
@@ -131,17 +132,29 @@ def edge_geometry(mesh, topo):
                         np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None])
 
 
-def _check_elements(elements, nt):
-    """Refuse an element index outside 0..nt-1 (a negative one would
-    wrap to another element)."""
+def _element_indices(elements, nt):
+    """`elements` as a 1-D integer array of indices 0..nt-1, else
+    ValueError: a float, complex or object array would fail in numpy's
+    indexing, a boolean one would be read as a mask and a negative index
+    would wrap to another element.  An empty sequence selects nothing."""
+    elements = np.asarray(elements)
+    if elements.ndim != 1:
+        raise ValueError("elements of shape {} given, need (n,)"
+                         .format(elements.shape))
+    if elements.size == 0:
+        return elements.astype(np.intp)
+    if elements.dtype.kind not in "iu":
+        raise ValueError("elements of dtype {} given, need integers"
+                         .format(elements.dtype))
     bad = np.flatnonzero((elements < 0) | (elements >= nt))
     if bad.size:
         raise ValueError("element {} outside 0..{}".format(
             elements[bad[0]], nt - 1))
+    return elements
 
 
 def barycentric_coordinates(mesh, coeffs, elements, points):
-    """Barycentric coordinates of physical points, by area ratios.
+    """Barycentric coordinates of physical points.
 
     Parameters
     ----------
@@ -161,13 +174,9 @@ def barycentric_coordinates(mesh, coeffs, elements, points):
     if elements.ndim != 1 or points.shape != elements.shape + (2,):
         raise ValueError("points of shape {} given for elements of shape {}"
                          .format(points.shape, elements.shape))
-    _check_elements(elements, mesh.num_elements)
-    tri = mesh.nodes[mesh.elements[elements]]  # (n, 3, 2)
-    lam = np.empty((points.shape[0], 3))
-    for i in range(3):
-        p1 = tri[:, (i + 1) % 3]
-        p2 = tri[:, (i + 2) % 3]
-        lam[:, i] = ((p1[:, 0] - points[:, 0]) * (p2[:, 1] - points[:, 1])
-                     - (p2[:, 0] - points[:, 0]) * (p1[:, 1] - points[:, 1]))
-    lam /= (2 * coeffs.area[elements])[:, None]
+    elements = _element_indices(elements, mesh.num_elements)
+    d = points - mesh.nodes[mesh.elements[elements, 0]]
+    lam = ((coeffs.a[elements] * d[:, :1] + coeffs.b[elements] * d[:, 1:])
+           / (2 * coeffs.area[elements])[:, None])
+    lam[:, 0] += 1
     return lam

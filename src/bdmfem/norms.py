@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (_family_of, flux_columns, flux_dof_count,
-                    resolve_orientation)
+from .basis import (_family_of, _function_values, flux_columns,
+                    flux_dof_count, resolve_orientation)
 from .bc import _element_alpha, _sampled
-from .geometry import (_check_elements, barycentric_gradients,
+from .geometry import (_element_indices, barycentric_gradients,
                        check_coefficients, edge_geometry)
 from .mesh import (build_edge_topology, check_topology, require_valid,
                    uniform_refine)
@@ -128,26 +128,17 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
     family = _family_of(flux.size, oriented.num_edges)
     if elements is None:
         elements = slice(None)
-    elif np.ndim(elements) != 1:
-        raise ValueError("elements of shape {} given, need (n,)"
-                         .format(np.shape(elements)))
     else:
-        _check_elements(np.asarray(elements), oriented.area.shape[0])
-    columns = flux_columns(family, oriented.elem_to_edge[elements],
-                           oriented.num_edges)
-    inv2a = 1.0 / (2 * oriented.area[elements])
-    rows = np.arange(lam.shape[0])
-    p, a, b = (x[elements] for x in (oriented.p, oriented.a, oriented.b))
-    if lam.shape != (p.shape[0], 3):
+        elements = _element_indices(elements, oriented.area.shape[0])
+    edges = oriented.elem_to_edge[elements]
+    if lam.shape != (edges.shape[0], 3):
         raise ValueError("lam of shape {} given, {} elements need ({}, 3)"
-                         .format(lam.shape, p.shape[0], p.shape[0]))
-
-    out = np.zeros((lam.shape[0], 2))
-    for j in range(6):
-        w = flux[columns[j // 3][:, j % 3]] * lam[rows, p[:, j]] * inv2a
-        out[:, 0] += w * b[:, j]
-        out[:, 1] -= w * a[:, j]
-    return out
+                         .format(lam.shape, edges.shape[0], edges.shape[0]))
+    # rt0 lists each tied column twice, so the pair is summed
+    columns = np.concatenate(
+        flux_columns(family, edges, oriented.num_edges), axis=1)
+    return np.einsum("nj,njd->nd", flux[columns],
+                     _function_values(oriented, elements, lam))
 
 
 def compute_errors(mesh, topo, coeffs, solution, problem):

@@ -52,6 +52,18 @@ REFERENCE_SIGNEDGE = np.array([
     [-1, 1, -1], [1, -1, -1], [1, -1, 1], [-1, 1, 1],
 ])
 
+# Element index arrays of other dtypes than integers, with the dtype's
+# name, for the 16-element reference mesh: a float, complex or object
+# array fails in numpy's indexing, a boolean one reads as a mask
+NON_INTEGER_ELEMENTS = [
+    ([0.0], "float64"),
+    ([1.5], "float64"),
+    ([1j], "complex128"),
+    (np.array([0], dtype=object), "object"),
+    ([True] * 16, "bool"),
+    ([True] * 8 + [False] * 8, "bool"),
+]
+
 
 @pytest.fixture(scope="session")
 def paper_mesh():

@@ -111,6 +111,18 @@ class TestPointValues:
                                "outside 0..15".format(element, slot)):
                 bf.eval_basis(paper_oriented, element, slot, [1, 0, 0])
 
+    @pytest.mark.parametrize("element, slot, message", [
+        (1.0, 0, "elements of dtype float64 given"),
+        (True, 0, "elements of dtype bool given"),
+        (0, 1.0, "slot 1.0 is not an integer"),
+        (0, True, "slot True is not an integer")])
+    def test_non_integer_index_refused(self, paper_oriented, element, slot,
+                                       message):
+        # a float failed with a bare IndexError, element True with a
+        # broadcast error, and slot True was read as slot 1
+        with pytest.raises(ValueError, match=message):
+            bf.eval_basis(paper_oriented, element, slot, [1, 0, 0])
+
 
 class TestNormalTraces:
 

@@ -1,5 +1,6 @@
 """Command line interface, exercised in process through main()."""
 
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 import scipy.io
 
 import bdmfem as bf
+from bdmfem import cli
 from bdmfem.cli import main
 from conftest import (REFERENCE_EDGES_1B, REFERENCE_ELEM2EDGE_1B,
                       REFERENCE_SIGNEDGE)
@@ -207,6 +209,26 @@ class TestSolve:
             assert err.value.code == 2
             assert "tolerance must " + message in capsys.readouterr().err
 
+    def test_tolerance_parsed(self, capsys):
+        # the default --tol bypasses argparse's type, so only a given
+        # one runs the parser's float path
+        code = main(["solve", "--mesh", "builtin:paper",
+                     "--problem", "paper-example", "--tol", "1e-12"])
+        assert code == 0
+        residual = re.search(r"residual (\S+),", capsys.readouterr().out)
+        assert float(residual.group(1)) <= 1e-12
+
+    def test_other_runtime_error_propagates(self, monkeypatch, capsys):
+        # only a SolverError is reported as exit 4
+        def broken(args):
+            raise RuntimeError("not a solver failure")
+
+        monkeypatch.setattr(cli, "cmd_solve", broken)
+        with pytest.raises(RuntimeError, match="not a solver failure"):
+            main(["solve", "--mesh", "builtin:paper",
+                  "--problem", "paper-example"])
+        assert capsys.readouterr().err == ""
+
     def test_singular_system_is_solver_error(self, tmp_path, capsys):
         # every boundary edge Neumann: u is only determined up to a
         # constant and the reduced system is singular
@@ -282,6 +304,13 @@ class TestConverge:
             runs.append(p.read_bytes())
         capsys.readouterr()
         assert runs[0] == runs[1]
+
+    def test_tolerance(self, capsys):
+        code = main(["converge", "--mesh", "builtin:paper",
+                     "--problem", "paper-example", "--levels", "2",
+                     "--tol", "1e-12"])
+        assert code == 0
+        assert "0.5        64  4.20101e-02" in capsys.readouterr().out
 
     def test_levels_validated(self, capsys):
         for levels, message in (("0", "at least 1"), ("two", "an integer")):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bdmfem as bf
-from conftest import random_mesh
+from conftest import NON_INTEGER_ELEMENTS, random_mesh
 
 
 def test_reference_areas(paper_mesh, paper_coeffs):
@@ -131,6 +131,23 @@ def test_barycentric_coordinates_element_outside_refused(
             "element {} outside 0..15".format(element))):
         bf.barycentric_coordinates(paper_mesh, paper_coeffs, [0, element],
                                    np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("elements, dtype", NON_INTEGER_ELEMENTS)
+def test_barycentric_coordinates_non_integer_elements_refused(
+        paper_mesh, paper_coeffs, elements, dtype):
+    # floats failed with a bare IndexError, 16 booleans read as a mask
+    with pytest.raises(ValueError, match="elements of dtype {} given, need "
+                       "integers".format(dtype)):
+        bf.barycentric_coordinates(paper_mesh, paper_coeffs, elements,
+                                   np.zeros((len(elements), 2)))
+
+
+def test_barycentric_coordinates_no_elements(paper_mesh, paper_coeffs):
+    # an empty list is float64 under np.asarray and failed with IndexError
+    lam = bf.barycentric_coordinates(paper_mesh, paper_coeffs, [],
+                                     np.zeros((0, 2)))
+    assert lam.shape == (0, 3)
 
 
 def test_barycentric_coordinates_partition_of_unity():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import bdmfem as bf
-from conftest import (integrate_segment_exact, integrate_triangle_exact,
-                      random_triangle)
+from conftest import (NON_INTEGER_ELEMENTS, integrate_segment_exact,
+                      integrate_triangle_exact, random_mesh, random_triangle)
 
 QUAD = bf.TRI_QUADRATURE_DEGREE4
 QUAD6 = bf.TRI_QUADRATURE_DEGREE6
@@ -196,6 +196,42 @@ class TestEvalSigmaH:
                 "element {} outside 0..15".format(element))):
             bf.eval_sigma_h(np.zeros(56), oriented, np.full((2, 3), 1 / 3),
                             [0, element])
+
+    @pytest.mark.parametrize("elements, dtype", NON_INTEGER_ELEMENTS)
+    def test_non_integer_elements_refused(self, paper_topo, paper_coeffs,
+                                          elements, dtype):
+        # floats failed with a bare IndexError, 16 booleans read as a mask
+        oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
+        with pytest.raises(ValueError, match="elements of dtype {} given, "
+                           "need integers".format(dtype)):
+            bf.eval_sigma_h(np.zeros(56), oriented,
+                            np.full((len(elements), 3), 1 / 3), elements)
+
+    def test_no_elements(self, paper_topo, paper_coeffs):
+        oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
+        out = bf.eval_sigma_h(np.zeros(56), oriented, np.zeros((0, 3)), [])
+        assert out.shape == (0, 2)
+
+    @pytest.mark.parametrize("family", bf.FAMILIES)
+    @pytest.mark.parametrize("seed", [3, 9, 11])
+    def test_sum_of_basis_values(self, seed, family):
+        # sigma_h at a point is the sum, over the three slots, of each
+        # slot's coefficients times its basis values there
+        mesh = random_mesh(seed=seed)
+        topo = bf.build_edge_topology(mesh)
+        oriented = bf.resolve_orientation(topo,
+                                          bf.barycentric_gradients(mesh))
+        rng = np.random.default_rng(seed)
+        flux = rng.standard_normal(bf.flux_dof_count(family, topo.num_edges))
+        lam = rng.dirichlet(np.ones(3), size=mesh.num_elements)
+        offsets = topo.num_edges * np.arange(bf.functions_per_edge(family))
+        want = np.array([
+            sum(flux[topo.elem_to_edge[t, i] + offsets]
+                @ bf.eval_basis(oriented, t, i, lam[t], family)
+                for i in range(3))
+            for t in range(mesh.num_elements)])
+        got = bf.eval_sigma_h(flux, oriented, lam)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_midpoint_continuity(self, paper_mesh):
         # the normal component of sigma_h matches from both sides of
