@@ -135,8 +135,7 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
         raise ValueError("lam of shape {} given, {} elements need ({}, 3)"
                          .format(lam.shape, edges.shape[0], edges.shape[0]))
     # rt0 lists each tied column twice, so the pair is summed
-    columns = np.concatenate(
-        flux_columns(family, edges, oriented.num_edges), axis=1)
+    columns = np.hstack(flux_columns(family, edges, oriented.num_edges))
     return np.einsum("nj,njd->nd", flux[columns],
                      _function_values(oriented, elements, lam))
 
