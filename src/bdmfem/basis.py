@@ -138,8 +138,9 @@ def _function_values(oriented, elements, lam):
     slice) at one barycentric point each, the rows of `lam`: (n, 6, 2),
     in :func:`local_columns` order."""
     p, a, b = (x[elements] for x in (oriented.p, oriented.a, oriented.b))
-    rot = np.stack([b, -a], -1) * (0.5 / oriented.area[elements, None, None])
-    return np.take_along_axis(lam, p, axis=1)[..., None] * rot
+    scale = 0.5 / oriented.area[elements, None]
+    lam_p = np.take_along_axis(lam, p, axis=1)
+    return np.stack([lam_p * (b * scale), -lam_p * (a * scale)], -1)
 
 
 def _check_barycentric(w):

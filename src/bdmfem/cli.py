@@ -17,7 +17,7 @@ import sys
 
 from .basis import FAMILIES
 from .geometry import barycentric_gradients
-from .mesh import (MeshError, build_edge_topology, classify_boundary,
+from .mesh import (DIRICHLET, NEUMANN, MeshError, build_edge_topology,
                    read_mesh, validate_mesh)
 from .problems import BUILTIN_MESHES, PROBLEMS, builtin_mesh, get_problem
 
@@ -203,27 +203,27 @@ def cmd_converge(args):
 
 def cmd_inspect(args):
     mesh = _load_mesh(args.mesh)
-    topo = build_edge_topology(mesh)
-    boundary = classify_boundary(mesh, topo)
-    num_boundary = boundary.num_dirichlet + boundary.num_neumann
+    num_dirichlet = (mesh.boundary_markers == DIRICHLET).sum()
+    num_neumann = (mesh.boundary_markers == NEUMANN).sum()
+    num_boundary = num_dirichlet + num_neumann
+    # every edge has one side (boundary) or two: 3 NT = 2 NE - boundary
+    num_edges = (3 * mesh.num_elements + num_boundary) // 2
 
     print("nodes:          {}".format(mesh.num_nodes))
     print("elements:       {}".format(mesh.num_elements))
-    print("edges:          {}".format(topo.num_edges))
+    print("edges:          {}".format(num_edges))
     print("boundary edges: {} (dirichlet {}, neumann {})".format(
-        num_boundary, boundary.num_dirichlet, boundary.num_neumann))
-    print("interior edges: {}".format(topo.num_edges - num_boundary))
+        num_boundary, num_dirichlet, num_neumann))
+    print("interior edges: {}".format(num_edges - num_boundary))
     print("validation:     ok")
     if args.dump:
-        print("# edges")
-        for a, b in topo.edges + 1:
-            print("{},{}".format(a, b))
-        print("# elem_to_edge")
-        for row in topo.elem_to_edge + 1:
-            print("{},{},{}".format(*row))
-        print("# sign_edge")
-        for row in topo.sign_edge:
-            print("{},{},{}".format(*row))
+        topo = build_edge_topology(mesh)
+        for name, rows in (("edges", topo.edges + 1),
+                           ("elem_to_edge", topo.elem_to_edge + 1),
+                           ("sign_edge", topo.sign_edge)):
+            fmt = ",".join(["%d"] * rows.shape[1]) + "\n"
+            sys.stdout.write("# {}\n".format(name)
+                             + fmt * len(rows) % tuple(rows.ravel().tolist()))
     return EXIT_OK
 
 

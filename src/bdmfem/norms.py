@@ -12,6 +12,7 @@ stays accurate down to round-off on fine meshes.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -125,6 +126,8 @@ def eval_sigma_h(flux, oriented, lam, elements=None):
     -------
     (n, 2) float array
     """
+    flux = np.asarray(flux, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     family = _family_of(flux.size, oriented.num_edges)
     if elements is None:
         elements = slice(None)
@@ -230,12 +233,14 @@ def convergence_study(problem, base_mesh, levels, family="bdm1",
     """Solve on the base mesh and `levels` - 1 uniform refinements.
 
     The first row is assigned h equal to the longest edge of the base
-    mesh; every refinement halves h.  Requires `levels` >= 1.  An
-    invalid base mesh raises :class:`MeshError` before any geometry is
-    computed.
+    mesh; every refinement halves h.  Requires an integer `levels` >= 1
+    (else ValueError).  An invalid base mesh raises :class:`MeshError`
+    before any geometry is computed.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+    if (isinstance(levels, bool) or not isinstance(levels, Integral)
+            or levels < 1):
+        raise ValueError("levels {!r} must be an integer, at least 1"
+                         .format(levels))
     require_valid(base_mesh)
     report = ErrorReport(problem=problem.name, family=family)
     mesh = base_mesh

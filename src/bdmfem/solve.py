@@ -50,6 +50,7 @@ whose float64 pass ends above the requested tolerance is refused.
 """
 
 import time
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -279,14 +280,14 @@ def solve_reduced(lifted, topo, blocks, centroids, tol=1e-10):
     Raises
     ------
     ValueError
-        If `tol` is outside (0, 1), if the load fits no family, or if
-        `blocks` and `centroids` are not (NT, k, k) blocks of its family
-        and NT finite points; the last message names both shapes.
+        If `tol` is not a number in (0, 1), if the load fits no family,
+        or if `blocks` and `centroids` are not (NT, k, k) blocks of its
+        family and NT finite points; the last message names both shapes.
     SolverError
         If an element block is singular, or the relative residual
         exceeds `tol` or is NaN.
     """
-    if not 0 < tol < 1:
+    if not (isinstance(tol, Real) and 0 < tol < 1):
         raise ValueError("tolerance {!r} must lie in (0, 1)".format(tol))
     start = time.perf_counter()
     free = lifted.free_dofs

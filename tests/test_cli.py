@@ -12,7 +12,38 @@ import bdmfem as bf
 from bdmfem import cli
 from bdmfem.cli import main
 from conftest import (REFERENCE_EDGES_1B, REFERENCE_ELEM2EDGE_1B,
-                      REFERENCE_SIGNEDGE)
+                      REFERENCE_SIGNEDGE, mark_boundary_dirichlet,
+                      random_mesh)
+
+
+def _refined_paper(level):
+    mesh = bf.builtin_mesh("paper")
+    for _ in range(level):
+        mesh = bf.uniform_refine(mesh)
+    return mesh
+
+
+def _holed_paper():
+    """Paper level 2 without the elements whose centroid lies in
+    (-0.25, 0.25)^2, vertices renumbered: 248 elements, not a disk."""
+    mesh = _refined_paper(2)
+    centroids = mesh.nodes[mesh.elements].mean(axis=1)
+    elements = mesh.elements[~(np.abs(centroids) < 0.25).all(axis=1)]
+    used, elements = np.unique(elements, return_inverse=True)
+    hole = bf.Mesh(mesh.nodes[used], elements.reshape(-1, 3))
+    return mark_boundary_dirichlet(hole, lambda mid: mid[:, 0] > 0.5)
+
+
+INSPECT_MESHES = {
+    "paper-0": lambda: _refined_paper(0),
+    "paper-1": lambda: _refined_paper(1),
+    "paper-2": lambda: _refined_paper(2),
+    "random-3": lambda: mark_boundary_dirichlet(
+        random_mesh(seed=3), lambda mid: mid[:, 0] > 0),
+    "random-11": lambda: mark_boundary_dirichlet(
+        random_mesh(seed=11, n=90), lambda mid: mid[:, 1] < -0.2),
+    "hole": _holed_paper,
+}
 
 
 class TestInspect:
@@ -42,6 +73,63 @@ class TestInspect:
         assert np.array_equal(sections["elem_to_edge"],
                               REFERENCE_ELEM2EDGE_1B)
         assert np.array_equal(sections["sign_edge"], REFERENCE_SIGNEDGE)
+
+    @pytest.mark.parametrize("name", sorted(INSPECT_MESHES))
+    def test_counts_match_topology(self, tmp_path, capsys, name):
+        # the summary counts come from the markers alone
+        mesh = INSPECT_MESHES[name]()
+        path = tmp_path / "m.mesh"
+        bf.write_mesh(mesh, path)
+        assert main(["inspect", "--mesh", str(path)]) == 0
+        out = capsys.readouterr().out
+        topo = bf.build_edge_topology(mesh)
+        boundary = bf.classify_boundary(mesh, topo)
+        nb = boundary.num_dirichlet + boundary.num_neumann
+        assert boundary.num_neumann > 0
+        assert "edges:          {}\n".format(topo.num_edges) in out
+        assert "boundary edges: {} (dirichlet {}, neumann {})\n".format(
+            nb, boundary.num_dirichlet, boundary.num_neumann) in out
+        assert "interior edges: {}\n".format(topo.num_edges - nb) in out
+        if name == "hole":
+            # Euler's formula for a disk would give one edge fewer
+            assert (mesh.num_elements, topo.num_edges) == (248, 392)
+            assert mesh.num_nodes + mesh.num_elements - 1 == 391
+
+    def test_topology_only_for_dump(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the summary needs no edge topology")
+
+        monkeypatch.setattr(cli, "build_edge_topology", refuse)
+        monkeypatch.setattr(bf.mesh, "classify_boundary", refuse)
+        assert not hasattr(cli, "classify_boundary")
+        assert main(["inspect", "--mesh", "builtin:paper"]) == 0
+        summary = capsys.readouterr().out
+        calls = []
+
+        def counted(mesh):
+            calls.append(mesh)
+            return bf.build_edge_topology(mesh)
+
+        monkeypatch.setattr(cli, "build_edge_topology", counted)
+        assert main(["inspect", "--mesh", "builtin:paper", "--dump"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith(summary + "# edges\n")
+
+    def test_dump_rows_on_large_mesh(self, tmp_path, capsys):
+        mesh = random_mesh(seed=29, n=600)
+        topo = bf.build_edge_topology(mesh)
+        assert mesh.num_elements >= 1000 and (topo.sign_edge < 0).any()
+        path = tmp_path / "large.mesh"
+        bf.write_mesh(mesh, path)
+        assert main(["inspect", "--mesh", str(path), "--dump"]) == 0
+        lines = ["# edges"]
+        lines += ["{},{}".format(a, b) for a, b in topo.edges + 1]
+        lines += ["# elem_to_edge"]
+        lines += ["{},{},{}".format(*row) for row in topo.elem_to_edge + 1]
+        lines += ["# sign_edge"]
+        lines += ["{},{},{}".format(*row) for row in topo.sign_edge]
+        out = capsys.readouterr().out
+        assert out.endswith("validation:     ok\n" + "\n".join(lines) + "\n")
 
     def test_mesh_file(self, tmp_path, capsys):
         fine = bf.uniform_refine(bf.builtin_mesh("paper"))

@@ -207,6 +207,17 @@ class TestEvalSigmaH:
             bf.eval_sigma_h(np.zeros(56), oriented,
                             np.full((len(elements), 3), 1 / 3), elements)
 
+    def test_lists_accepted(self, paper_topo, paper_coeffs):
+        # a list lam failed with AttributeError: no attribute 'shape'
+        oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
+        rng = np.random.default_rng(47)
+        flux = rng.standard_normal(56)
+        lam = rng.dirichlet(np.ones(3), size=16)
+        got = bf.eval_sigma_h(flux.tolist(), oriented, lam.tolist())
+        assert np.array_equal(got, bf.eval_sigma_h(flux, oriented, lam))
+        with pytest.raises(ValueError, match=r"lam of shape \(16, 2\) given"):
+            bf.eval_sigma_h(flux, oriented, [[0.5, 0.5]] * 16)
+
     def test_no_elements(self, paper_topo, paper_coeffs):
         oriented = bf.resolve_orientation(paper_topo, paper_coeffs)
         out = bf.eval_sigma_h(np.zeros(56), oriented, np.zeros((0, 3)), [])
@@ -484,6 +495,20 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="levels"):
             bf.convergence_study(bf.get_problem("paper-example"),
                                  paper_mesh, levels=0)
+
+    @pytest.mark.parametrize("levels", [2.0, np.float64(2), True, "2", None],
+                             ids=["float", "float64", "bool", "str", "None"])
+    def test_levels_not_integer_refused(self, paper_mesh, levels):
+        # 2.0 raised a bare TypeError from range(), True ran one level
+        with pytest.raises(ValueError,
+                           match="must be an integer, at least 1"):
+            bf.convergence_study(bf.get_problem("paper-example"),
+                                 paper_mesh, levels=levels)
+
+    def test_numpy_integer_levels(self, paper_mesh):
+        report = bf.convergence_study(bf.get_problem("paper-example"),
+                                      paper_mesh, levels=np.int64(2))
+        assert [row.num_elements for row in report.rows] == [16, 64]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_base_mesh(self, paper_mesh, value, monkeypatch):

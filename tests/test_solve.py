@@ -196,6 +196,20 @@ class TestSolveProblem:
             bf.convergence_study(zero_problem(), paper_mesh, levels=1,
                                  method=method)
 
+    @pytest.mark.parametrize("tol", ["1e-10", None, 1e-10 + 0j])
+    def test_tolerance_not_a_number_refused(self, paper_mesh, tol):
+        # each raised a bare TypeError from the comparison
+        with pytest.raises(ValueError, match=r"tolerance {} must lie in "
+                           r"\(0, 1\)".format(re.escape(repr(tol)))):
+            bf.solve_problem(paper_mesh, bf.get_problem("paper-example"),
+                             tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.float64(1e-10), np.float32(1e-6)])
+    def test_numpy_tolerance(self, paper_mesh, tol):
+        solution = bf.solve_problem(paper_mesh,
+                                    bf.get_problem("paper-example"), tol=tol)
+        assert solution.residual <= tol
+
     def test_incompatible_all_neumann_fails(self):
         # pure Neumann data violating the compatibility condition
         # (nonzero source, zero boundary flux) cannot be solved: the
